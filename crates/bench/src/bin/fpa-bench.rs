@@ -239,12 +239,7 @@ fn main() {
             let program = compiled
                 .iter()
                 .find(|c| c.name == r.id.workload)
-                .map(|c| match r.id.scheme {
-                    Scheme::Conventional => &c.conventional,
-                    Scheme::Basic => &c.basic,
-                    Scheme::Advanced => &c.advanced,
-                    Scheme::Optimal => &c.optimal,
-                })
+                .map(|c| c.suite.program(r.id.scheme))
                 .expect("cell came from this store");
             let cfg = r.id.width.config(r.id.scheme != Scheme::Conventional);
             let t = Instant::now();

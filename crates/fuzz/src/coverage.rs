@@ -446,15 +446,6 @@ fn rdg_features(func: &Function, set: &mut BTreeSet<u64>) {
     }
 }
 
-fn scheme_code(s: Scheme) -> u64 {
-    match s {
-        Scheme::Conventional => 0,
-        Scheme::Basic => 1,
-        Scheme::Advanced => 2,
-        Scheme::Optimal => 3,
-    }
-}
-
 fn partition_features(
     scheme: Scheme,
     module: &fpa_ir::Module,
@@ -462,7 +453,7 @@ fn partition_features(
     suite: &SuiteArtifacts,
     set: &mut BTreeSet<u64>,
 ) {
-    let sc = scheme_code(scheme);
+    let sc = scheme as u64;
 
     // Moved instructions: assigned to FPa where the conventional (all-INT)
     // assignment would keep them on INT. Counted per function, bucketed.

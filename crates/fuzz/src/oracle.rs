@@ -2,7 +2,8 @@
 //!
 //! [`check_source`] compiles one `zinc` program conventionally, with the
 //! basic partitioning scheme, with the exact min-cut (optimal) scheme,
-//! and with the advanced scheme under a sweep of cost parameters, then
+//! and with the advanced scheme under a sweep of cost parameters (one
+//! front half, then a back half per build), then
 //! runs every binary through functional simulation and demands
 //! observable equivalence with the IR interpreter's golden run (same
 //! printed output, same exit code). It also asserts the per-scheme
@@ -12,7 +13,8 @@
 //! - the basic scheme inserts **zero** copy instructions (the paper's
 //!   defining property of the basic scheme, §5);
 //! - every advanced-scheme assignment passes `fpa_ir::verify` (enforced
-//!   inside [`Compiler::build`], which verifies the transformed module).
+//!   inside the compiler's back half, which verifies the transformed
+//!   module).
 //!
 //! Any violation is a compiler bug by construction: generated programs
 //! terminate and never fault (see the `ast` module docs).
@@ -29,10 +31,8 @@
 //! assignment it was compiled from — a translation-validation stage that
 //! catches miscompiles on paths the generated input never executes.
 
-use fpa_harness::cell::{
-    run_cells, CellError, CellId, CellMode, CellSource, CellSpec, WidthPreset,
-};
-use fpa_harness::{build_suite_cached, Compiler, Scheme};
+use fpa_harness::cell::{run_cells, CellError, CellId, CellMode, CellSpec, WidthPreset};
+use fpa_harness::{build_suite_cached, CompiledWorkload, Scheme};
 use fpa_partition::CostParams;
 use fpa_sim::run_functional;
 use std::fmt;
@@ -233,27 +233,6 @@ fn lint_check(
 /// the in-oracle label stays fixed.
 pub const GENERATED_WORKLOAD: &str = "generated";
 
-/// The four builds of one generated program, addressable as a
-/// [`CellSource`] so the co-simulated timing stage batches through the
-/// same [`run_cells`] path as the experiment matrix.
-struct SuitePrograms<'a> {
-    conventional: &'a fpa_isa::Program,
-    basic: &'a fpa_isa::Program,
-    advanced: &'a fpa_isa::Program,
-    optimal: &'a fpa_isa::Program,
-}
-
-impl CellSource for SuitePrograms<'_> {
-    fn resolve(&self, id: &CellId) -> Option<&fpa_isa::Program> {
-        (id.workload == GENERATED_WORKLOAD).then_some(match id.scheme {
-            Scheme::Conventional => self.conventional,
-            Scheme::Basic => self.basic,
-            Scheme::Advanced => self.advanced,
-            Scheme::Optimal => self.optimal,
-        })
-    }
-}
-
 /// Validates one co-simulated cell: a violation-free run whose
 /// observable behaviour matches the golden interpreter output.
 fn cosim_validate(
@@ -346,6 +325,9 @@ pub fn check_case(src: &str) -> Result<CheckedCase, OracleFailure> {
             message: e.to_string(),
             cell: None,
         })?;
+    // The cell API addresses the four builds by (workload, scheme).
+    let case = [CompiledWorkload::from_suite(GENERATED_WORKLOAD, suite)];
+    let suite = &case[0].suite;
     let mut stats = OracleStats::default();
 
     let conv = compare(
@@ -409,12 +391,6 @@ pub fn check_case(src: &str) -> Result<CheckedCase, OracleFailure> {
     // on the 4-way machine, batched through the cell API. A violation
     // here is a *simulator* bug (or a miscompile only visible under
     // out-of-order timing).
-    let progs = SuitePrograms {
-        conventional: &suite.conventional,
-        basic: &suite.basic,
-        advanced: &suite.advanced,
-        optimal: &suite.optimal,
-    };
     let specs: Vec<CellSpec> = Scheme::ALL
         .into_iter()
         .map(|scheme| {
@@ -425,7 +401,7 @@ pub fn check_case(src: &str) -> Result<CheckedCase, OracleFailure> {
             )
         })
         .collect();
-    let cells = run_cells(&progs, &specs, 1).map_err(|e| match e {
+    let cells = run_cells(&case[..], &specs, 1).map_err(|e| match e {
         CellError::Exec { id, source } => OracleFailure {
             kind: FailureKind::Exec,
             config: format!("{}(timing)", id.scheme.label()),
@@ -437,13 +413,7 @@ pub fn check_case(src: &str) -> Result<CheckedCase, OracleFailure> {
     for r in &cells {
         let report = r.payload.cosim().expect("cosim cell");
         cosim_validate(&r.id, report, &suite.golden_output, suite.golden_exit)?;
-        let slot = match r.id.scheme {
-            Scheme::Conventional => 0,
-            Scheme::Basic => 1,
-            Scheme::Advanced => 2,
-            Scheme::Optimal => 3,
-        };
-        stats.timing_cycles[slot] = report.result.cycles;
+        stats.timing_cycles[r.id.scheme as usize] = report.result.cycles;
         stats.timing_checked += 1;
     }
 
@@ -459,19 +429,21 @@ pub fn check_case(src: &str) -> Result<CheckedCase, OracleFailure> {
         stats.lint_checked += 1;
     }
 
-    // Advanced scheme across the cost-parameter sweep. Each point can pick
-    // a different partition; all must stay observably equivalent. The
-    // module verifier runs inside every `build()`.
+    // Advanced scheme across the cost-parameter sweep: one back half per
+    // point on the suite's profiled module. Each point can pick a
+    // different partition; all must stay observably equivalent. The
+    // module verifier runs inside every back half.
     for (o_copy, o_dupl) in COST_SWEEP {
         let config = format!("advanced(o_copy={o_copy}, o_dupl={o_dupl})");
-        let arts = Compiler::new(src)
-            .scheme(Scheme::Advanced)
-            .cost_params(CostParams {
-                o_copy,
-                o_dupl,
-                balance_cap: None,
-            })
-            .build()
+        let arts = suite
+            .rebuild(
+                Scheme::Advanced,
+                &CostParams {
+                    o_copy,
+                    o_dupl,
+                    balance_cap: None,
+                },
+            )
             .map_err(|e| OracleFailure {
                 kind: FailureKind::Build,
                 config: config.clone(),
@@ -492,7 +464,7 @@ pub fn check_case(src: &str) -> Result<CheckedCase, OracleFailure> {
         stats.lint_checked += 1;
     }
 
-    let signature = crate::coverage::extract(&suite, &stats);
+    let signature = crate::coverage::extract(suite, &stats);
     Ok(CheckedCase { stats, signature })
 }
 

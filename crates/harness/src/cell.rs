@@ -313,8 +313,9 @@ impl std::error::Error for CellError {
 }
 
 /// Resolves a [`CellId`] to the program it names. Implemented for the
-/// experiment engine's compiled-workload store; the fuzz oracle supplies
-/// its own source over a generated program's three builds.
+/// experiment engine's compiled workloads, which the fuzz oracle also
+/// uses for a generated program's four builds; the serving daemon
+/// supplies its own source over one batch's compiled requests.
 pub trait CellSource: Sync {
     /// The program `id` names, or `None` if unknown.
     fn resolve(&self, id: &CellId) -> Option<&Program>;
@@ -323,12 +324,7 @@ pub trait CellSource: Sync {
 impl CellSource for [CompiledWorkload] {
     fn resolve(&self, id: &CellId) -> Option<&Program> {
         let c = self.iter().find(|c| c.name == id.workload)?;
-        Some(match id.scheme {
-            Scheme::Conventional => &c.conventional,
-            Scheme::Basic => &c.basic,
-            Scheme::Advanced => &c.advanced,
-            Scheme::Optimal => &c.optimal,
-        })
+        Some(c.suite.program(id.scheme))
     }
 }
 
@@ -453,7 +449,8 @@ mod tests {
         assert_eq!(results.len(), 4);
         let c = &compiled[0];
         let direct =
-            fpa_sim::simulate(&c.conventional, &MachineConfig::four_way(false), fuel).unwrap();
+            fpa_sim::simulate(&c.suite.conventional, &MachineConfig::four_way(false), fuel)
+                .unwrap();
         assert_eq!(results[0].payload.timing(), Some(&direct));
         assert!(results[1].payload.events().unwrap().retired > 0);
         assert!(results[2].payload.functional().unwrap().total > 0);

@@ -58,22 +58,22 @@ fn check_row(id: CellId, c: &CompiledWorkload, report: &CosimReport) -> CheckRow
             detail,
         });
     };
-    if report.result.output != c.golden_output {
+    if report.result.output != c.suite.golden_output {
         golden(
             "golden-output",
             format!(
                 "timing output {:?} != interpreter golden {:?}",
                 truncated(&report.result.output),
-                truncated(&c.golden_output)
+                truncated(&c.suite.golden_output)
             ),
         );
     }
-    if report.result.exit_code != c.golden_exit {
+    if report.result.exit_code != c.suite.golden_exit {
         golden(
             "golden-exit",
             format!(
                 "timing exit code {} != interpreter golden {}",
-                report.result.exit_code, c.golden_exit
+                report.result.exit_code, c.suite.golden_exit
             ),
         );
     }

@@ -2,9 +2,20 @@
 //! bundle.
 //!
 //! Every consumer of the pipeline — the `fpa` facade, the experiment
-//! engine, `fpa-cc`, and the tests — goes through [`Compiler`], so the
-//! parse → optimize → split-webs → verify sequence exists in exactly one
-//! place and every frontend execution is counted (see [`frontend_runs`]).
+//! engine, `fpa-cc`, and the tests — goes through [`Compiler`]. The
+//! stage sequence is written once, in two halves:
+//!
+//! - the **front half**, run once per source: parse → optimize → split
+//!   webs → verify → profile (every frontend execution is counted, see
+//!   [`frontend_runs`]);
+//! - the **back half**, run once per scheme: partition → verify → stats
+//!   → codegen.
+//!
+//! [`Compiler::build`] is one front half plus one back half,
+//! [`Compiler::build_suite`] one front half plus four, and
+//! [`SuiteArtifacts::rebuild`] one more back half on a suite's profiled
+//! module — which is how cost-parameter sweeps re-partition one profile
+//! without recompiling it.
 //!
 //! ```no_run
 //! use fpa_harness::compiler::{Compiler, Scheme};
@@ -29,19 +40,23 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Which code-partitioning scheme to apply.
+///
+/// The discriminants are each scheme's index in [`Scheme::ALL`]; fuzz
+/// coverage signatures and per-scheme stat slots use `scheme as u64`, so
+/// they must not change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Scheme {
     /// No offloading: integer code stays in the integer subsystem.
-    Conventional,
+    Conventional = 0,
     /// The paper's basic scheme (§5): no new instructions.
-    Basic,
+    Basic = 1,
     /// The paper's advanced scheme (§6): profile-driven copies and
     /// duplication (profiled with the built-in interpreter).
-    Advanced,
+    Advanced = 2,
     /// Exact partitioning: the advanced scheme's profit model solved to
     /// optimality as a minimum s-t cut (max-flow over the RDG). Bounds
     /// how much the greedy heuristics leave on the table.
-    Optimal,
+    Optimal = 3,
 }
 
 impl Scheme {
@@ -85,9 +100,8 @@ impl std::str::FromStr for Scheme {
 /// A front-to-back compilation failure, from any pipeline stage.
 ///
 /// This is the one error type of the whole system: the facade's
-/// `fpa::Error` and the harness's historical `BuildError` are both this
-/// enum. The underlying stage error is reachable through
-/// [`std::error::Error::source`].
+/// `fpa::Error` is this enum. The underlying stage error is reachable
+/// through [`std::error::Error::source`].
 #[derive(Debug)]
 pub enum Error {
     /// The source failed to compile.
@@ -180,7 +194,8 @@ pub struct StageTimings {
     pub optimize: Duration,
     /// The profiling interpreter run.
     pub profile: Duration,
-    /// Partitioning (all schemes built, including module cloning).
+    /// Partitioning plus verification of the transformed module, summed
+    /// over the schemes built.
     pub partition: Duration,
     /// Register allocation across all programs built.
     pub regalloc: Duration,
@@ -269,39 +284,41 @@ pub struct SuiteArtifacts {
 }
 
 impl SuiteArtifacts {
-    /// The per-scheme (binary, IR module, assignment) views, in
-    /// [`Scheme::ALL`] order. This is the exact pairing the binary linter
-    /// and coverage-signature extraction need: the conventional and basic
-    /// binaries were compiled from the shared optimized module, the
+    /// One scheme's (binary, IR module, assignment): the conventional and
+    /// basic binaries were compiled from the shared optimized module, the
     /// advanced and optimal binaries from their transformed clones.
-    #[must_use]
-    pub fn scheme_views(&self) -> [(Scheme, &Program, &Module, &Assignment); 4] {
-        [
-            (
-                Scheme::Conventional,
-                &self.conventional,
-                &self.module,
-                &self.conv_assignment,
-            ),
-            (
-                Scheme::Basic,
-                &self.basic,
-                &self.module,
-                &self.basic_assignment,
-            ),
-            (
-                Scheme::Advanced,
+    fn view(&self, scheme: Scheme) -> (&Program, &Module, &Assignment) {
+        match scheme {
+            Scheme::Conventional => (&self.conventional, &self.module, &self.conv_assignment),
+            Scheme::Basic => (&self.basic, &self.module, &self.basic_assignment),
+            Scheme::Advanced => (
                 &self.advanced,
                 &self.advanced_module,
                 &self.advanced_assignment,
             ),
-            (
-                Scheme::Optimal,
+            Scheme::Optimal => (
                 &self.optimal,
                 &self.optimal_module,
                 &self.optimal_assignment,
             ),
-        ]
+        }
+    }
+
+    /// The binary built under `scheme`.
+    #[must_use]
+    pub fn program(&self, scheme: Scheme) -> &Program {
+        self.view(scheme).0
+    }
+
+    /// The per-scheme (binary, IR module, assignment) views, in
+    /// [`Scheme::ALL`] order. This is the exact pairing the binary linter
+    /// and coverage-signature extraction need.
+    #[must_use]
+    pub fn scheme_views(&self) -> [(Scheme, &Program, &Module, &Assignment); 4] {
+        Scheme::ALL.map(|scheme| {
+            let (program, module, assignment) = self.view(scheme);
+            (scheme, program, module, assignment)
+        })
     }
 
     /// IR-level partition statistics for an offloading scheme (`None`
@@ -315,6 +332,41 @@ impl SuiteArtifacts {
             Scheme::Optimal => Some(&self.optimal_stats),
         }
     }
+
+    /// Runs the back half once more on a clone of this suite's optimized
+    /// module, under `scheme` and `params`, weighted by this suite's
+    /// profile: the same result as a from-source
+    /// `Compiler::new(src).scheme(scheme).cost_params(params).build()`,
+    /// without re-running the front half.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Verify`] if the transformed module fails verification.
+    pub fn rebuild(&self, scheme: Scheme, params: &CostParams) -> Result<SchemeBuild, Error> {
+        let freq = BlockFreq::from_profile(&self.module, &self.profile);
+        back(
+            self.module.clone(),
+            &freq,
+            scheme,
+            params,
+            &mut StageTimings::default(),
+        )
+    }
+}
+
+/// What the back half produces for one scheme.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SchemeBuild {
+    /// The machine program.
+    pub program: Program,
+    /// The IR the backend compiled: the optimized module itself for the
+    /// conventional and basic schemes, transformed for advanced and
+    /// optimal.
+    pub module: Module,
+    /// The partition assignment the backend compiled against.
+    pub assignment: Assignment,
+    /// IR-level partition statistics under the profile's block weights.
+    pub stats: PartitionStats,
 }
 
 static FRONTEND_RUNS: AtomicU64 = AtomicU64::new(0);
@@ -322,7 +374,8 @@ static FRONTEND_RUNS: AtomicU64 = AtomicU64::new(0);
 /// Number of frontend (parse + optimize + verify) executions in this
 /// process so far. The experiment engine's build-once guarantee is
 /// asserted against this counter: building a whole figure matrix must
-/// advance it by exactly the number of workloads.
+/// advance it by exactly the number of workloads. Back halves
+/// ([`SuiteArtifacts::rebuild`]) never advance it.
 #[must_use]
 pub fn frontend_runs() -> u64 {
     FRONTEND_RUNS.load(Ordering::SeqCst)
@@ -384,109 +437,135 @@ impl<'a> Compiler<'a> {
     /// Returns an [`Error`] naming the stage that failed.
     pub fn build(self) -> Result<Artifacts, Error> {
         let mut timings = StageTimings::default();
-        let mut m = optimized_module(self.src, &mut timings)?;
-        let (golden, profile) = profiled(&m, &mut timings)?;
-        let freq = BlockFreq::from_profile(&m, &profile);
-
-        let t = Instant::now();
-        let assignment = match self.scheme {
-            Scheme::Conventional => Assignment::conventional(&m),
-            Scheme::Basic => partition_basic(&m),
-            Scheme::Advanced => {
-                let a = partition_advanced(&mut m, &freq, &self.params);
-                fpa_ir::verify::verify_module(&m).map_err(Error::Verify)?;
-                a
-            }
-            Scheme::Optimal => {
-                let a = partition_optimal(&mut m, &freq, &self.params);
-                fpa_ir::verify::verify_module(&m).map_err(Error::Verify)?;
-                a
-            }
-        };
-        timings.partition = t.elapsed();
-
-        let stats = PartitionStats::compute(&m, &assignment, &freq);
-        let (program, ct) = compile_module_timed(&m, &assignment);
-        timings.regalloc = ct.regalloc;
-        timings.emit = ct.emit;
-
+        let front = front(self.src, &mut timings)?;
+        let built = back(
+            front.module,
+            &front.freq,
+            self.scheme,
+            &self.params,
+            &mut timings,
+        )?;
         Ok(Artifacts {
             scheme: self.scheme,
-            program,
-            module: m,
-            assignment,
-            stats,
-            profile,
-            golden_output: golden.output,
-            golden_exit: golden.exit_code,
+            program: built.program,
+            module: built.module,
+            assignment: built.assignment,
+            stats: built.stats,
+            profile: front.profile,
+            golden_output: front.golden.output,
+            golden_exit: front.golden.exit_code,
             timings,
         })
     }
 
     /// Builds the conventional, basic, advanced, and optimal programs
-    /// from **one** frontend pass and **one** profiling run. The selected
-    /// scheme is ignored; all four are produced.
+    /// from **one** front half: one frontend pass and one profiling run.
+    /// The selected scheme is ignored; all four are produced.
     ///
     /// # Errors
     ///
     /// Returns an [`Error`] naming the stage that failed.
     pub fn build_suite(self) -> Result<SuiteArtifacts, Error> {
         let mut timings = StageTimings::default();
-        let m = optimized_module(self.src, &mut timings)?;
-        let (golden, profile) = profiled(&m, &mut timings)?;
-        let freq = BlockFreq::from_profile(&m, &profile);
-
-        let t = Instant::now();
-        let conv_assignment = Assignment::conventional(&m);
-        let basic_assignment = partition_basic(&m);
-        // The advanced and optimal schemes transform the module in place;
-        // each gets its own clone of the optimized module so the
-        // conventional/basic builds stay untouched (and the frontend runs
-        // exactly once).
-        let mut m2 = m.clone();
-        let adv_assignment = partition_advanced(&mut m2, &freq, &self.params);
-        fpa_ir::verify::verify_module(&m2).map_err(Error::Verify)?;
-        let mut m3 = m.clone();
-        let opt_assignment = partition_optimal(&mut m3, &freq, &self.params);
-        fpa_ir::verify::verify_module(&m3).map_err(Error::Verify)?;
-        timings.partition = t.elapsed();
-
-        let basic_stats = PartitionStats::compute(&m, &basic_assignment, &freq);
-        let advanced_stats = PartitionStats::compute(&m2, &adv_assignment, &freq);
-        let optimal_stats = PartitionStats::compute(&m3, &opt_assignment, &freq);
-
-        let mut backend = |module: &Module, a: &Assignment| {
-            let (p, ct) = compile_module_timed(module, a);
-            timings.regalloc += ct.regalloc;
-            timings.emit += ct.emit;
-            p
-        };
-        let conventional = backend(&m, &conv_assignment);
-        let basic = backend(&m, &basic_assignment);
-        let advanced = backend(&m2, &adv_assignment);
-        let optimal = backend(&m3, &opt_assignment);
-
+        let Profiled {
+            module,
+            profile,
+            freq,
+            golden,
+        } = front(self.src, &mut timings)?;
+        let p = &self.params;
+        // The advanced and optimal schemes transform the module in place,
+        // so each partitions its own clone; the conventional and basic
+        // builds share the untransformed module.
+        let (for_advanced, for_optimal) = (module.clone(), module.clone());
+        let conventional = back(module, &freq, Scheme::Conventional, p, &mut timings)?;
+        let basic = back(conventional.module, &freq, Scheme::Basic, p, &mut timings)?;
+        let advanced = back(for_advanced, &freq, Scheme::Advanced, p, &mut timings)?;
+        let optimal = back(for_optimal, &freq, Scheme::Optimal, p, &mut timings)?;
         Ok(SuiteArtifacts {
-            conventional,
-            basic,
-            advanced,
-            optimal,
-            module: m,
-            advanced_module: m2,
-            optimal_module: m3,
-            conv_assignment,
-            basic_assignment,
-            advanced_assignment: adv_assignment,
-            optimal_assignment: opt_assignment,
-            basic_stats,
-            advanced_stats,
-            optimal_stats,
+            conventional: conventional.program,
+            basic: basic.program,
+            advanced: advanced.program,
+            optimal: optimal.program,
+            module: basic.module,
+            advanced_module: advanced.module,
+            optimal_module: optimal.module,
+            conv_assignment: conventional.assignment,
+            basic_assignment: basic.assignment,
+            advanced_assignment: advanced.assignment,
+            optimal_assignment: optimal.assignment,
+            basic_stats: basic.stats,
+            advanced_stats: advanced.stats,
+            optimal_stats: optimal.stats,
             profile,
             golden_output: golden.output,
             golden_exit: golden.exit_code,
             timings,
         })
     }
+}
+
+/// What the front half produces for one source.
+struct Profiled {
+    /// The optimized, web-split, verified module.
+    module: Module,
+    /// The interpreter profile (block execution counts).
+    profile: Profile,
+    /// `profile` as the partitioners' block weights.
+    freq: BlockFreq,
+    /// The golden interpreter run.
+    golden: fpa_ir::ExecOutcome,
+}
+
+/// The front half, run once per source: parse → optimize → split webs →
+/// verify → profile.
+fn front(src: &str, timings: &mut StageTimings) -> Result<Profiled, Error> {
+    let module = optimized_module(src, timings)?;
+    let t = Instant::now();
+    let (golden, profile) = Interp::new(&module).run().map_err(Error::Profile)?;
+    timings.profile = t.elapsed();
+    let freq = BlockFreq::from_profile(&module, &profile);
+    Ok(Profiled {
+        module,
+        profile,
+        freq,
+        golden,
+    })
+}
+
+/// The back half, run once per scheme: partition → verify → stats →
+/// codegen. Takes the optimized module by value and hands it back in the
+/// [`SchemeBuild`]: transformed by the advanced and optimal schemes,
+/// untouched by the conventional and basic ones.
+fn back(
+    mut module: Module,
+    freq: &BlockFreq,
+    scheme: Scheme,
+    params: &CostParams,
+    timings: &mut StageTimings,
+) -> Result<SchemeBuild, Error> {
+    let t = Instant::now();
+    let assignment = match scheme {
+        Scheme::Conventional => Assignment::conventional(&module),
+        Scheme::Basic => partition_basic(&module),
+        Scheme::Advanced => partition_advanced(&mut module, freq, params),
+        Scheme::Optimal => partition_optimal(&mut module, freq, params),
+    };
+    if matches!(scheme, Scheme::Advanced | Scheme::Optimal) {
+        fpa_ir::verify::verify_module(&module).map_err(Error::Verify)?;
+    }
+    timings.partition += t.elapsed();
+
+    let stats = PartitionStats::compute(&module, &assignment, freq);
+    let (program, ct) = compile_module_timed(&module, &assignment);
+    timings.regalloc += ct.regalloc;
+    timings.emit += ct.emit;
+    Ok(SchemeBuild {
+        program,
+        module,
+        assignment,
+        stats,
+    })
 }
 
 /// The one frontend sequence of the whole system: parse → optimize →
@@ -505,17 +584,6 @@ fn optimized_module(source: &str, timings: &mut StageTimings) -> Result<Module, 
     fpa_ir::verify::verify_module(&m).map_err(Error::Verify)?;
     timings.optimize = t.elapsed();
     Ok(m)
-}
-
-/// Runs the profiling interpreter, recording its wall time.
-fn profiled(
-    m: &Module,
-    timings: &mut StageTimings,
-) -> Result<(fpa_ir::ExecOutcome, Profile), Error> {
-    let t = Instant::now();
-    let r = Interp::new(m).run().map_err(Error::Profile)?;
-    timings.profile = t.elapsed();
-    Ok(r)
 }
 
 #[cfg(test)]
@@ -544,20 +612,35 @@ mod tests {
     #[test]
     fn suite_matches_individual_builds() {
         let suite = Compiler::new(SRC).build_suite().unwrap();
-        for (scheme, prog) in [
-            (Scheme::Conventional, &suite.conventional),
-            (Scheme::Basic, &suite.basic),
-            (Scheme::Advanced, &suite.advanced),
-            (Scheme::Optimal, &suite.optimal),
-        ] {
+        for (scheme, prog, module, assignment) in suite.scheme_views() {
             let single = Compiler::new(SRC).scheme(scheme).build().unwrap();
-            assert_eq!(
-                prog.static_size(),
-                single.program.static_size(),
-                "{scheme} suite/single size mismatch"
-            );
+            assert_eq!(prog, &single.program, "{scheme} program");
+            assert_eq!(module, &single.module, "{scheme} module");
+            assert_eq!(assignment, &single.assignment, "{scheme} assignment");
+            if let Some(stats) = suite.partition_stats(scheme) {
+                assert_eq!(stats, &single.stats, "{scheme} stats");
+            }
+            assert_eq!(suite.profile, single.profile);
             let r = fpa_sim::run_functional(prog, 1_000_000).unwrap();
             assert_eq!(r.output, suite.golden_output, "{scheme} diverged");
+        }
+        // A back half on the suite's profiled module equals a from-source
+        // build at every point of the fuzz oracle's cost sweep.
+        for (o_copy, o_dupl) in [(3.0, 1.5), (4.5, 2.25), (6.0, 3.0)] {
+            let params = CostParams {
+                o_copy,
+                o_dupl,
+                balance_cap: None,
+            };
+            let rebuilt = suite.rebuild(Scheme::Advanced, &params).unwrap();
+            let single = Compiler::new(SRC).cost_params(params).build().unwrap();
+            let single = SchemeBuild {
+                program: single.program,
+                module: single.module,
+                assignment: single.assignment,
+                stats: single.stats,
+            };
+            assert_eq!(rebuilt, single, "o_copy={o_copy}, o_dupl={o_dupl}");
         }
     }
 

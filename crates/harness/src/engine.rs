@@ -1,7 +1,7 @@
 //! The parallel experiment engine.
 //!
 //! [`ExperimentContext`] compiles each workload **once** into a shared
-//! immutable artifact store ([`CompiledWorkload`] per workload: all three
+//! immutable artifact store ([`CompiledWorkload`] per workload: all four
 //! programs, profile, golden output, partition stats, stage timings),
 //! then fans the individual (figure, workload) cells of the full
 //! experiment matrix across a `std::thread::scope` worker pool. The cycle
@@ -17,13 +17,13 @@
 
 use crate::artifact::StoreOutcome;
 use crate::cell::{run_cells, CellError, CellId, CellMode, CellSpec, WidthPreset};
-use crate::compiler::{frontend_runs, Scheme, StageTimings};
+use crate::compiler::{frontend_runs, Error, Scheme, StageTimings};
 use crate::experiments::{
     fig8_row_from, overhead_row_from, speedup_row_from, Fig8Row, OverheadRow, SpeedupRow,
     FUNC_FUEL, TIMING_FUEL,
 };
 use crate::json::Json;
-use crate::pipeline::{build_traced, BuildError, CompiledWorkload};
+use crate::pipeline::{build_traced, CompiledWorkload};
 use fpa_partition::CostParams;
 use fpa_sim::EventCounters;
 use fpa_workloads::Workload;
@@ -81,7 +81,7 @@ pub fn default_jobs() -> usize {
 pub struct RunTelemetry {
     /// Workload name.
     pub name: String,
-    /// Per-stage compile timings (one frontend pass, all three builds).
+    /// Per-stage compile timings (one frontend pass, all four builds).
     pub timings: StageTimings,
     /// Wall-clock seconds this workload's 4-way simulations took.
     pub sim_seconds: f64,
@@ -163,7 +163,7 @@ impl ExperimentContext {
         set: &[Workload],
         params: &CostParams,
         jobs: usize,
-    ) -> Result<ExperimentContext, BuildError> {
+    ) -> Result<ExperimentContext, Error> {
         let runs_before = frontend_runs();
         let t = Instant::now();
         let built = parallel_map(set, jobs, |w| build_traced(w, params));
@@ -292,14 +292,14 @@ impl ExperimentContext {
             fig9.push(speedup_row_from(&c.name, tm(3), tm(4), adv));
             telemetry.push(RunTelemetry {
                 name: c.name.clone(),
-                timings: c.timings,
+                timings: c.suite.timings,
                 sim_seconds: r[3].seconds + r[4].seconds + r[5].seconds,
                 cycles_4way: (tm(3).cycles, tm(4).cycles, adv.cycles),
                 fetch_stall_cycles: adv.fetch_stall_cycles,
                 int_window_occupancy: adv.int_window_occupancy(),
                 fp_window_occupancy: adv.fp_window_occupancy(),
                 copies_retired: adv.copies_retired,
-                static_copies: c.advanced_stats.static_copies,
+                static_copies: c.suite.advanced_stats.static_copies,
                 store: *outcome,
                 events: *r[5].payload.events().expect("observed cell"),
             });

@@ -7,10 +7,10 @@
 //! same cells across a worker pool.
 
 use crate::cell::{run_cells, CellError, CellId, CellMode, CellSpec, WidthPreset};
-use crate::compiler::Scheme;
-use crate::pipeline::{build, BuildError, CompiledWorkload};
+use crate::compiler::{Error, Scheme};
+use crate::pipeline::{build, CompiledWorkload};
 use fpa_partition::CostParams;
-use fpa_sim::{EventCounters, ExecError, FuncSimResult, MachineConfig, TimingResult};
+use fpa_sim::{ExecError, FuncSimResult, TimingResult};
 use fpa_workloads::Workload;
 
 /// Functional-simulation fuel (instructions).
@@ -116,7 +116,10 @@ pub(crate) fn overhead_row_from(
         name: c.name.clone(),
         dynamic_increase_pct: pct(adv.total as f64, conv.total as f64),
         copy_pct: adv.copies as f64 / adv.total as f64 * 100.0,
-        static_increase_pct: pct(c.static_sizes.2 as f64, c.static_sizes.0 as f64),
+        static_increase_pct: pct(
+            c.suite.advanced.static_size() as f64,
+            c.suite.conventional.static_size() as f64,
+        ),
         load_change_pct: pct(adv.loads as f64, conv.loads as f64),
         icache_miss_rates: (miss_rate(tc.icache), miss_rate(ta.icache)),
     }
@@ -135,33 +138,10 @@ fn functional(r: &crate::cell::CellResult) -> &FuncSimResult {
 /// # Errors
 ///
 /// Returns the first pipeline failure.
-pub fn build_all(set: &[Workload]) -> Result<Vec<CompiledWorkload>, BuildError> {
+pub fn build_all(set: &[Workload]) -> Result<Vec<CompiledWorkload>, Error> {
     set.iter()
         .map(|w| build(w, &CostParams::default()))
         .collect()
-}
-
-/// One workload's Figure 8 cell.
-///
-/// # Errors
-///
-/// Returns the first simulation failure.
-#[deprecated(note = "single-cell entry point; batch specs through `crate::cell::run_cells`")]
-pub fn fig8_row(c: &CompiledWorkload) -> Result<Fig8Row, ExecError> {
-    let specs = [
-        CellSpec::new(
-            CellId::new(c.name.clone(), Scheme::Basic, WidthPreset::FourWay),
-            CellMode::Functional,
-            FUNC_FUEL,
-        ),
-        CellSpec::new(
-            CellId::new(c.name.clone(), Scheme::Advanced, WidthPreset::FourWay),
-            CellMode::Functional,
-            FUNC_FUEL,
-        ),
-    ];
-    let r = run_cells(std::slice::from_ref(c), &specs, 1).map_err(CellError::into_exec)?;
-    Ok(fig8_row_from(&c.name, functional(&r[0]), functional(&r[1])))
 }
 
 /// Figure 8: the size of the FPa partition as a percentage of dynamic
@@ -187,54 +167,6 @@ pub fn fig8_partition_size(compiled: &[CompiledWorkload]) -> Result<Vec<Fig8Row>
         .zip(results.chunks_exact(2))
         .map(|(c, r)| fig8_row_from(&c.name, functional(&r[0]), functional(&r[1])))
         .collect())
-}
-
-/// One workload's speedup cell, plus the three timing results it came
-/// from (conventional, basic, advanced) and the advanced run's pipeline
-/// event counters, so callers can surface simulator telemetry without
-/// re-running anything.
-///
-/// # Errors
-///
-/// Returns the first simulation failure.
-#[deprecated(note = "single-cell entry point; batch specs through `crate::cell::run_cells`")]
-pub fn speedup_row_detailed(
-    c: &CompiledWorkload,
-    conv_cfg: &MachineConfig,
-    aug_cfg: &MachineConfig,
-) -> Result<(SpeedupRow, [TimingResult; 3], EventCounters), ExecError> {
-    // Both real call sites pass Table 1 presets; recognize them and go
-    // through the batch API. A custom config pair (none exist today)
-    // falls back to direct session-routed runs.
-    if let (Some((wc, ac)), Some((wa, aa))) = (
-        WidthPreset::matching(conv_cfg),
-        WidthPreset::matching(aug_cfg),
-    ) {
-        if wc == wa {
-            let spec = |scheme, mode, augmented| CellSpec {
-                id: CellId::new(c.name.clone(), scheme, wc),
-                mode,
-                augmented: Some(augmented),
-                fuel: TIMING_FUEL,
-            };
-            let specs = [
-                spec(Scheme::Conventional, CellMode::Timing, ac),
-                spec(Scheme::Basic, CellMode::Timing, aa),
-                spec(Scheme::Advanced, CellMode::TimingObserved, aa),
-            ];
-            let r = run_cells(std::slice::from_ref(c), &specs, 1).map_err(CellError::into_exec)?;
-            let (conv, basic, adv) = (timing(&r[0]), timing(&r[1]), timing(&r[2]));
-            let row = speedup_row_from(&c.name, conv, basic, adv);
-            let events = *r[2].payload.events().expect("observed cell");
-            return Ok((row, [conv.clone(), basic.clone(), adv.clone()], events));
-        }
-    }
-    let conv = fpa_sim::simulate(&c.conventional, conv_cfg, TIMING_FUEL)?;
-    let basic = fpa_sim::simulate(&c.basic, aug_cfg, TIMING_FUEL)?;
-    let mut events = EventCounters::default();
-    let adv = fpa_sim::simulate_observed(&c.advanced, aug_cfg, TIMING_FUEL, &mut events)?;
-    let row = speedup_row_from(&c.name, &conv, &basic, &adv);
-    Ok((row, [conv, basic, adv], events))
 }
 
 fn speedups(
@@ -295,24 +227,6 @@ fn overhead_specs(c: &CompiledWorkload) -> [CellSpec; 4] {
         },
         CellSpec::new(id(Scheme::Advanced), CellMode::Timing, TIMING_FUEL),
     ]
-}
-
-/// One workload's §7.2 overhead row.
-///
-/// # Errors
-///
-/// Returns the first simulation failure.
-#[deprecated(note = "single-cell entry point; batch specs through `crate::cell::run_cells`")]
-pub fn overhead_row(c: &CompiledWorkload) -> Result<OverheadRow, ExecError> {
-    let specs = overhead_specs(c);
-    let r = run_cells(std::slice::from_ref(c), &specs, 1).map_err(CellError::into_exec)?;
-    Ok(overhead_row_from(
-        c,
-        functional(&r[0]),
-        functional(&r[1]),
-        timing(&r[2]),
-        timing(&r[3]),
-    ))
 }
 
 /// §7.2: instruction overheads of the advanced scheme.
@@ -451,30 +365,6 @@ mod tests {
             (r.advanced_cycles as f64 - r.optimal_cycles as f64) / r.advanced_cycles as f64 * 100.0;
         assert!((r.gap_pct - expected).abs() < 1e-12, "{r:?}");
     }
-
-    /// The deprecated single-cell forwards must agree exactly with the
-    /// batched whole-figure functions they forward to.
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_forwards_match_batched_figures() {
-        let set = vec![fpa_workloads::by_name("li").unwrap()];
-        let compiled = build_all(&set).unwrap();
-        let c = &compiled[0];
-        assert_eq!(
-            fig8_row(c).unwrap(),
-            fig8_partition_size(&compiled).unwrap()[0]
-        );
-        assert_eq!(overhead_row(c).unwrap(), overheads(&compiled).unwrap()[0]);
-        let (row, [conv, _, adv], events) = speedup_row_detailed(
-            c,
-            &MachineConfig::four_way(false),
-            &MachineConfig::four_way(true),
-        )
-        .unwrap();
-        assert_eq!(row, fig9_speedup_4way(&compiled).unwrap()[0]);
-        assert_eq!(conv.cycles, row.conventional_cycles);
-        assert_eq!(events.retired, adv.retired);
-    }
 }
 
 /// One point of the cost-model ablation (§6.1's empirical calibration).
@@ -494,28 +384,22 @@ pub struct AblationRow {
 
 /// Sweeps the cost-model constants over the paper's empirical ranges
 /// (`o_copy` in 3..=6, `o_dupl` in {1.5, 3}) for the given workloads —
-/// the experiment behind §6.1's "determined empirically" sentence.
+/// the experiment behind §6.1's "determined empirically" sentence. Like
+/// the paper's calibration, every point re-partitions one optimized,
+/// profiled program: each workload runs the front half once, and each
+/// point is one advanced-scheme back half on it.
 ///
 /// # Errors
 ///
 /// Returns the first pipeline or simulation failure.
 pub fn ablate_cost_params(names: &[&str]) -> Result<Vec<AblationRow>, Box<dyn std::error::Error>> {
+    let machine = |augmented| WidthPreset::FourWay.config(augmented);
     let mut rows = Vec::new();
     for name in names {
         let w = fpa_workloads::by_name(name).ok_or("unknown workload")?;
-        let conv = build(&w, &CostParams::default())?;
-        let base_spec = [CellSpec::new(
-            CellId::new(
-                conv.name.clone(),
-                Scheme::Conventional,
-                WidthPreset::FourWay,
-            ),
-            CellMode::Timing,
-            TIMING_FUEL,
-        )];
-        let base =
-            run_cells(std::slice::from_ref(&conv), &base_spec, 1).map_err(CellError::into_exec)?;
-        let base_cycles = timing(&base[0]).cycles;
+        let suite = build(&w, &CostParams::default())?.suite;
+        let base_cycles =
+            fpa_sim::simulate(&suite.conventional, &machine(false), TIMING_FUEL)?.cycles;
         for o_copy in [3.0, 4.0, 5.0, 6.0] {
             for o_dupl in [1.5, 3.0f64.min(o_copy - 0.5)] {
                 let params = CostParams {
@@ -523,20 +407,15 @@ pub fn ablate_cost_params(names: &[&str]) -> Result<Vec<AblationRow>, Box<dyn st
                     o_dupl,
                     balance_cap: None,
                 };
-                let c = build(&w, &params)?;
-                let id = CellId::new(c.name.clone(), Scheme::Advanced, WidthPreset::FourWay);
-                let specs = [
-                    CellSpec::new(id.clone(), CellMode::Functional, FUNC_FUEL),
-                    CellSpec::new(id, CellMode::Timing, TIMING_FUEL),
-                ];
-                let r =
-                    run_cells(std::slice::from_ref(&c), &specs, 1).map_err(CellError::into_exec)?;
+                let advanced = suite.rebuild(Scheme::Advanced, &params)?.program;
+                let run = fpa_sim::run_functional(&advanced, FUNC_FUEL)?;
+                let cycles = fpa_sim::simulate(&advanced, &machine(true), TIMING_FUEL)?.cycles;
                 rows.push(AblationRow {
                     name: w.name.clone(),
                     o_copy,
                     o_dupl,
-                    offload_pct: functional(&r[0]).fp_fraction() * 100.0,
-                    speedup_pct: (base_cycles as f64 / timing(&r[1]).cycles as f64 - 1.0) * 100.0,
+                    offload_pct: run.fp_fraction() * 100.0,
+                    speedup_pct: (base_cycles as f64 / cycles as f64 - 1.0) * 100.0,
                 });
             }
         }

@@ -1,9 +1,9 @@
 //! # fpa-harness
 //!
-//! End-to-end experiment driver: compiles every workload three ways
-//! (conventional, basic scheme, advanced scheme), runs functional and
-//! timing simulation, and regenerates each table and figure of the paper
-//! (see DESIGN.md for the experiment index).
+//! End-to-end experiment harness: compiles every workload four ways
+//! (conventional, basic scheme, advanced scheme, exact min-cut), runs
+//! functional and timing simulation, and regenerates each table and
+//! figure of the paper (see DESIGN.md for the experiment index).
 //!
 //! The `fpa-report` binary prints any experiment:
 //!
@@ -45,5 +45,5 @@ pub use experiments::{
     overheads, AblationRow, Fig8Row, OverheadRow, SpeedupRow,
 };
 pub use lint::{lint_matrix, lint_workload, LintRow};
-pub use pipeline::{build, BuildError, CompiledWorkload};
+pub use pipeline::{build, CompiledWorkload};
 pub use serve::{respond, respond_batch, serve};

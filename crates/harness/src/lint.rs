@@ -39,7 +39,8 @@ impl LintRow {
 /// against its own IR module and assignment.
 #[must_use]
 pub fn lint_workload(c: &CompiledWorkload) -> Vec<LintRow> {
-    c.lint_views()
+    c.suite
+        .scheme_views()
         .into_iter()
         .map(|(scheme, prog, module, assignment)| LintRow {
             workload: c.name.clone(),

@@ -3,91 +3,27 @@
 //! regimes from a single frontend pass.
 
 use crate::artifact::{build_suite_cached, StoreOutcome};
-use crate::compiler::{Scheme, StageTimings, SuiteArtifacts};
-use fpa_ir::{Module, Profile};
-use fpa_isa::Program;
-use fpa_partition::{Assignment, CostParams, PartitionStats};
+use crate::compiler::{Error, Scheme, SuiteArtifacts};
+use fpa_partition::CostParams;
 use fpa_workloads::Workload;
-
-/// A pipeline failure (alias of the system-wide [`crate::compiler::Error`]).
-pub use crate::compiler::Error as BuildError;
 
 /// A workload compiled under all four regimes.
 #[derive(Debug, Clone)]
 pub struct CompiledWorkload {
     /// The workload name.
     pub name: String,
-    /// Conventional binary (no offloading).
-    pub conventional: Program,
-    /// Basic-scheme binary.
-    pub basic: Program,
-    /// Advanced-scheme binary.
-    pub advanced: Program,
-    /// Optimal-scheme (exact min-cut) binary.
-    pub optimal: Program,
-    /// The optimized IR module behind the conventional and basic binaries.
-    pub module: Module,
-    /// The advanced-transformed IR behind the advanced binary.
-    pub advanced_module: Module,
-    /// The optimal-transformed IR behind the optimal binary.
-    pub optimal_module: Module,
-    /// The conventional (all-INT) assignment.
-    pub conv_assignment: Assignment,
-    /// The basic-scheme assignment.
-    pub basic_assignment: Assignment,
-    /// The advanced-scheme assignment.
-    pub advanced_assignment: Assignment,
-    /// The optimal-scheme assignment.
-    pub optimal_assignment: Assignment,
-    /// Interpreter profile of the optimized module (feeds the cost model).
-    pub profile: Profile,
-    /// Golden observable output (from the IR interpreter).
-    pub golden_output: String,
-    /// Golden exit code.
-    pub golden_exit: i32,
-    /// Static instruction counts (conventional, basic, advanced, optimal).
-    pub static_sizes: (usize, usize, usize, usize),
-    /// IR-level stats of the basic partition.
-    pub basic_stats: PartitionStats,
-    /// IR-level stats of the advanced partition.
-    pub advanced_stats: PartitionStats,
-    /// IR-level stats of the optimal partition.
-    pub optimal_stats: PartitionStats,
-    /// Per-stage compile timings (summed over the four builds).
-    pub timings: StageTimings,
+    /// The four builds and the one front half they came from.
+    pub suite: SuiteArtifacts,
 }
 
 impl CompiledWorkload {
-    /// Adapts a compiler [`SuiteArtifacts`] bundle (freshly built or
-    /// decoded from the artifact store) into the engine's workload form.
+    /// Names a compiler [`SuiteArtifacts`] bundle (freshly built or
+    /// decoded from the artifact store) as the engine's workload form.
     #[must_use]
     pub fn from_suite(name: &str, suite: SuiteArtifacts) -> CompiledWorkload {
         CompiledWorkload {
             name: name.to_string(),
-            static_sizes: (
-                suite.conventional.static_size(),
-                suite.basic.static_size(),
-                suite.advanced.static_size(),
-                suite.optimal.static_size(),
-            ),
-            conventional: suite.conventional,
-            basic: suite.basic,
-            advanced: suite.advanced,
-            optimal: suite.optimal,
-            module: suite.module,
-            advanced_module: suite.advanced_module,
-            optimal_module: suite.optimal_module,
-            conv_assignment: suite.conv_assignment,
-            basic_assignment: suite.basic_assignment,
-            advanced_assignment: suite.advanced_assignment,
-            optimal_assignment: suite.optimal_assignment,
-            profile: suite.profile,
-            golden_output: suite.golden_output,
-            golden_exit: suite.golden_exit,
-            basic_stats: suite.basic_stats,
-            advanced_stats: suite.advanced_stats,
-            optimal_stats: suite.optimal_stats,
-            timings: suite.timings,
+            suite,
         }
     }
 
@@ -100,74 +36,35 @@ impl CompiledWorkload {
     ///
     /// # Errors
     ///
-    /// [`BuildError::Exec`] when a binary faults,
-    /// [`BuildError::Divergence`] when output or exit code differ from
-    /// the golden run — each wrapped in [`BuildError::Workload`].
-    pub fn check(&self, fuel: u64) -> Result<(), BuildError> {
-        for (scheme, prog) in [
-            (Scheme::Conventional, &self.conventional),
-            (Scheme::Basic, &self.basic),
-            (Scheme::Advanced, &self.advanced),
-            (Scheme::Optimal, &self.optimal),
-        ] {
-            let wrap = |e: BuildError| e.in_workload(&self.name);
-            let r = fpa_sim::run_functional(prog, fuel)
-                .map_err(|source| wrap(BuildError::Exec { scheme, source }))?;
-            if r.output != self.golden_output {
-                return Err(wrap(BuildError::Divergence {
+    /// [`Error::Exec`] when a binary faults, [`Error::Divergence`] when
+    /// output or exit code differ from the golden run — each wrapped in
+    /// [`Error::Workload`].
+    pub fn check(&self, fuel: u64) -> Result<(), Error> {
+        let s = &self.suite;
+        for scheme in Scheme::ALL {
+            let wrap = |e: Error| e.in_workload(&self.name);
+            let r = fpa_sim::run_functional(s.program(scheme), fuel)
+                .map_err(|source| wrap(Error::Exec { scheme, source }))?;
+            if r.output != s.golden_output {
+                return Err(wrap(Error::Divergence {
                     scheme,
                     detail: format!(
                         "output mismatch: expected {:?}, got {:?}",
-                        self.golden_output, r.output
+                        s.golden_output, r.output
                     ),
                 }));
             }
-            if r.exit_code != self.golden_exit {
-                return Err(wrap(BuildError::Divergence {
+            if r.exit_code != s.golden_exit {
+                return Err(wrap(Error::Divergence {
                     scheme,
                     detail: format!(
                         "exit code mismatch: expected {}, got {}",
-                        self.golden_exit, r.exit_code
+                        s.golden_exit, r.exit_code
                     ),
                 }));
             }
         }
         Ok(())
-    }
-
-    /// The four (scheme, binary, IR module, assignment) views the
-    /// partition-soundness linter checks: the conventional and basic
-    /// binaries were compiled from the shared optimized module under
-    /// their respective assignments, the advanced and optimal binaries
-    /// from their transformed modules under their cost-model assignments.
-    #[must_use]
-    pub fn lint_views(&self) -> [(Scheme, &Program, &Module, &Assignment); 4] {
-        [
-            (
-                Scheme::Conventional,
-                &self.conventional,
-                &self.module,
-                &self.conv_assignment,
-            ),
-            (
-                Scheme::Basic,
-                &self.basic,
-                &self.module,
-                &self.basic_assignment,
-            ),
-            (
-                Scheme::Advanced,
-                &self.advanced,
-                &self.advanced_module,
-                &self.advanced_assignment,
-            ),
-            (
-                Scheme::Optimal,
-                &self.optimal,
-                &self.optimal_module,
-                &self.optimal_assignment,
-            ),
-        ]
     }
 }
 
@@ -184,8 +81,8 @@ impl CompiledWorkload {
 ///
 /// # Errors
 ///
-/// Returns a [`BuildError`] if any stage fails.
-pub fn build(workload: &Workload, params: &CostParams) -> Result<CompiledWorkload, BuildError> {
+/// Returns an [`Error`] if any stage fails.
+pub fn build(workload: &Workload, params: &CostParams) -> Result<CompiledWorkload, Error> {
     build_traced(workload, params).map(|(c, _)| c)
 }
 
@@ -194,11 +91,11 @@ pub fn build(workload: &Workload, params: &CostParams) -> Result<CompiledWorkloa
 ///
 /// # Errors
 ///
-/// Returns a [`BuildError`] if any stage fails.
+/// Returns an [`Error`] if any stage fails.
 pub fn build_traced(
     workload: &Workload,
     params: &CostParams,
-) -> Result<(CompiledWorkload, StoreOutcome), BuildError> {
+) -> Result<(CompiledWorkload, StoreOutcome), Error> {
     let (suite, outcome) = build_suite_cached(&workload.source, params)?;
     Ok((CompiledWorkload::from_suite(&workload.name, suite), outcome))
 }
@@ -223,7 +120,7 @@ mod tests {
     fn check_reports_workload_and_scheme_on_divergence() {
         let w = fpa_workloads::by_name("compress").unwrap();
         let mut c = build(&w, &CostParams::default()).unwrap();
-        c.golden_exit = c.golden_exit.wrapping_add(1); // force a mismatch
+        c.suite.golden_exit = c.suite.golden_exit.wrapping_add(1); // force a mismatch
         let e = c.check(FUEL).unwrap_err();
         assert_eq!(e.scheme(), Some(crate::compiler::Scheme::Conventional));
         let msg = e.to_string();
@@ -237,9 +134,9 @@ mod tests {
     fn basic_offload_is_between_conventional_and_advanced() {
         let w = fpa_workloads::by_name("m88ksim").unwrap();
         let c = build(&w, &CostParams::default()).unwrap();
-        let conv = run_functional(&c.conventional, FUEL).unwrap();
-        let basic = run_functional(&c.basic, FUEL).unwrap();
-        let adv = run_functional(&c.advanced, FUEL).unwrap();
+        let conv = run_functional(&c.suite.conventional, FUEL).unwrap();
+        let basic = run_functional(&c.suite.basic, FUEL).unwrap();
+        let adv = run_functional(&c.suite.advanced, FUEL).unwrap();
         assert_eq!(conv.augmented, 0);
         assert!(
             basic.augmented > 0,

@@ -41,7 +41,7 @@
 
 use crate::artifact::{ambient, build_suite_cached};
 use crate::cell::{run_cells, CellId, CellMode, CellResult, CellSource, CellSpec, WidthPreset};
-use crate::compiler::Scheme;
+use crate::compiler::{Scheme, SuiteArtifacts};
 use crate::json::Json;
 use crate::pipeline::CompiledWorkload;
 use fpa_isa::Program;
@@ -176,23 +176,20 @@ fn stats_json(s: &PartitionStats) -> Json {
 /// and partition statistics. Deliberately excludes wall-clock stage
 /// timings and the store outcome, so the bytes depend on the request
 /// alone — never on cache state or the machine.
-fn compile_response(req: &Json, c: &CompiledWorkload) -> Json {
+fn compile_response(req: &Json, suite: &SuiteArtifacts) -> Json {
     let mut o = base(req, "compile");
     o.set("ok", true)
-        .set("golden_exit", c.golden_exit)
-        .set("golden_output", c.golden_output.as_str());
+        .set("golden_exit", suite.golden_exit)
+        .set("golden_output", suite.golden_output.as_str());
     let mut sizes = Json::obj();
-    sizes
-        .set("conventional", c.static_sizes.0)
-        .set("basic", c.static_sizes.1)
-        .set("advanced", c.static_sizes.2)
-        .set("optimal", c.static_sizes.3);
-    o.set("static_sizes", sizes);
     let mut parts = Json::obj();
-    parts
-        .set("basic", stats_json(&c.basic_stats))
-        .set("advanced", stats_json(&c.advanced_stats))
-        .set("optimal", stats_json(&c.optimal_stats));
+    for scheme in Scheme::ALL {
+        sizes.set(scheme.label(), suite.program(scheme).static_size());
+        if let Some(stats) = suite.partition_stats(scheme) {
+            parts.set(scheme.label(), stats_json(stats));
+        }
+    }
+    o.set("static_sizes", sizes);
     o.set("partitions", parts);
     o
 }
@@ -263,18 +260,12 @@ fn stats_response(req: &Json) -> Json {
 /// Resolves the batch's internal `r<index>` cell labels. The labels
 /// never appear in a response — they exist only to address cells inside
 /// one [`run_cells`] call.
-struct BatchSource(Vec<Option<CompiledWorkload>>);
+struct BatchSource(Vec<Option<SuiteArtifacts>>);
 
 impl CellSource for BatchSource {
     fn resolve(&self, id: &CellId) -> Option<&Program> {
         let i: usize = id.workload.strip_prefix('r')?.parse().ok()?;
-        let c = self.0.get(i)?.as_ref()?;
-        Some(match id.scheme {
-            Scheme::Conventional => &c.conventional,
-            Scheme::Basic => &c.basic,
-            Scheme::Advanced => &c.advanced,
-            Scheme::Optimal => &c.optimal,
-        })
+        Some(self.0.get(i)?.as_ref()?.program(id.scheme))
     }
 }
 
@@ -299,7 +290,7 @@ pub fn respond_batch(reqs: &[Json]) -> Vec<Json> {
     let parsed: Vec<Result<Op, String>> = reqs.iter().map(parse_req).collect();
 
     // Compile every run request (through the store) and gather its cell.
-    let mut compiled: Vec<Option<CompiledWorkload>> = Vec::with_capacity(reqs.len());
+    let mut compiled: Vec<Option<SuiteArtifacts>> = Vec::with_capacity(reqs.len());
     let mut build_errors: Vec<Option<String>> = vec![None; reqs.len()];
     let mut specs: Vec<CellSpec> = Vec::new();
     for (i, p) in parsed.iter().enumerate() {
@@ -314,7 +305,7 @@ pub fn respond_batch(reqs: &[Json]) -> Vec<Json> {
         {
             match build_suite_cached(source, &CostParams::default()) {
                 Ok((suite, _)) => {
-                    slot = Some(CompiledWorkload::from_suite(&format!("r{i}"), suite));
+                    slot = Some(suite);
                     specs.push(CellSpec::new(
                         CellId::new(format!("r{i}"), *scheme, *width),
                         if *functional {
@@ -362,9 +353,7 @@ pub fn respond_batch(reqs: &[Json]) -> Vec<Json> {
             }
             Ok(Op::Stats) => stats_response(req),
             Ok(Op::Compile { source, params }) => match build_suite_cached(source, params) {
-                Ok((suite, _)) => {
-                    compile_response(req, &CompiledWorkload::from_suite("request", suite))
-                }
+                Ok((suite, _)) => compile_response(req, &suite),
                 Err(e) => error_response(req, &e.to_string()),
             },
             Ok(Op::Run { scheme, width, .. }) => {

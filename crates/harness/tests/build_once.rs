@@ -8,6 +8,9 @@
 //!    across runs only).
 //! 3. **Lossless JSON**: a real [`MatrixReport`] survives
 //!    `to_json` → `render` → `parse` → `from_json` field for field.
+//! 4. **Sweeps re-partition one profile**: the cost-model ablation
+//!    advances the frontend counter by one per workload, not one per
+//!    sweep point.
 //!
 //! This file deliberately contains a single `#[test]`: integration-test
 //! binaries run their tests on concurrent threads, and any other test
@@ -91,5 +94,16 @@ fn frontend_runs_once_per_workload_and_matrix_is_deterministic() {
     assert!(
         m88.copies_retired > 0,
         "advanced m88ksim should execute copies"
+    );
+
+    // 4. The cost-model ablation re-partitions one profile: one front
+    //    half per workload, however many sweep points it runs.
+    let before = frontend_runs();
+    let rows = fpa_harness::ablate_cost_params(&["li"]).unwrap();
+    assert_eq!(rows.len(), 8);
+    assert_eq!(
+        frontend_runs() - before,
+        1,
+        "every ablation point must be a back half on the workload's one profile"
     );
 }

@@ -39,13 +39,8 @@ fn fast_path_matches_reference_on_all_64_cells() {
     assert_eq!(cells.len(), 64, "expected the full 64-cell matrix");
 
     let mismatches: Vec<String> = parallel_map(&cells, jobs, |&(c, scheme, machine, make)| {
-        let (program, augmented) = match scheme {
-            Scheme::Conventional => (&c.conventional, false),
-            Scheme::Basic => (&c.basic, true),
-            Scheme::Advanced => (&c.advanced, true),
-            Scheme::Optimal => (&c.optimal, true),
-        };
-        let cfg = make(augmented);
+        let program = c.suite.program(scheme);
+        let cfg = make(scheme != Scheme::Conventional);
         let fast = simulate(program, &cfg, TIMING_FUEL).expect("fast path");
         let reference = simulate_reference(program, &cfg, TIMING_FUEL).expect("reference");
         if fast == reference {

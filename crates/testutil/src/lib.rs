@@ -1,10 +1,9 @@
 //! # fpa-testutil
 //!
 //! Deterministic randomized-testing helpers used by the workspace's
-//! property-style tests and hand-rolled benchmark harnesses. The crate
-//! exists so the repository builds and tests **offline**: it replaces the
-//! `proptest`/`rand`/`criterion` stack with a seeded xorshift generator, a
-//! tiny case runner, and a wall-clock timing helper — no registry access
+//! property-style tests. The crate exists so the repository builds and
+//! tests **offline**: it replaces the `proptest`/`rand` stack with a
+//! seeded xorshift generator and a tiny case runner — no registry access
 //! required.
 //!
 //! The tests that use it keep the *property* formulation (random inputs,
@@ -15,8 +14,6 @@
 //! caller-supplied shrink candidates ([`shrink_to_fixpoint`]) until no
 //! smaller case still fails — the panic message then carries both the
 //! seed and the minimized case.
-
-use std::time::{Duration, Instant};
 
 /// A `xorshift64*` pseudo-random generator: tiny, fast, and deterministic
 /// across platforms. Not cryptographic — it only drives test-case
@@ -187,46 +184,6 @@ pub fn run_cases_shrinking<T: std::fmt::Debug>(
     }
 }
 
-/// One timed measurement: median and total of `iters` runs of `f`.
-#[derive(Debug, Clone, Copy)]
-pub struct Timing {
-    /// Median per-iteration wall time.
-    pub median: Duration,
-    /// Sum over all iterations.
-    pub total: Duration,
-    /// Iterations measured.
-    pub iters: u32,
-}
-
-/// Times `iters` runs of `f` (plus one untimed warm-up), returning the
-/// median and total. A minimal stand-in for criterion's `bench_function`
-/// that works offline; results print in microseconds.
-pub fn bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) -> Timing {
-    assert!(iters > 0);
-    let _warmup = f();
-    let mut samples = Vec::with_capacity(iters as usize);
-    let total_start = Instant::now();
-    for _ in 0..iters {
-        let t = Instant::now();
-        let v = f();
-        samples.push(t.elapsed());
-        drop(v);
-    }
-    let total = total_start.elapsed();
-    samples.sort();
-    let median = samples[samples.len() / 2];
-    println!(
-        "bench {name:<44} median {:>12.1} us  ({iters} iters, total {:.1} ms)",
-        median.as_secs_f64() * 1e6,
-        total.as_secs_f64() * 1e3
-    );
-    Timing {
-        median,
-        total,
-        iters,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,12 +283,5 @@ mod tests {
         let msg = *result.unwrap_err().downcast::<String>().unwrap();
         assert!(msg.contains("rng seed"), "seed missing: {msg}");
         assert!(msg.contains("minimized case: 100"), "not minimal: {msg}");
-    }
-
-    #[test]
-    fn bench_reports_all_iterations() {
-        let t = bench("noop", 5, || 1 + 1);
-        assert_eq!(t.iters, 5);
-        assert!(t.total >= t.median);
     }
 }
