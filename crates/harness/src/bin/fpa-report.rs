@@ -27,7 +27,6 @@
 //! the process exits non-zero on any `FPA0xx` finding.
 
 use fpa_harness::engine::{default_jobs, ExperimentContext, MatrixReport};
-use fpa_harness::experiments::fp_programs;
 use fpa_harness::report;
 use fpa_partition::CostParams;
 
@@ -130,16 +129,7 @@ fn main() {
         eprintln!(
             "building 8 integer workloads (conventional/basic/advanced/optimal), {jobs} worker(s)..."
         );
-        let ctx = ExperimentContext::new(&fpa_workloads::integer(), &CostParams::default(), jobs)
-            .unwrap_or_else(|e| {
-                eprintln!("pipeline failed: {e}");
-                std::process::exit(1);
-            });
-        eprintln!("running the experiment matrix (4-way and 8-way machines)...");
-        let m = ctx.matrix().unwrap_or_else(|e| {
-            eprintln!("simulation failed: {e}");
-            std::process::exit(1);
-        });
+        let (ctx, m) = build_matrix(&fpa_workloads::integer(), jobs);
         if matches!(what.as_str(), "fig8" | "all") {
             println!("{}", report::fig8(&m.fig8));
         }
@@ -179,13 +169,27 @@ fn main() {
     }
     if matches!(what.as_str(), "fp" | "all") {
         eprintln!("building floating-point programs (section 7.5)...");
-        let (sizes, speed) = fp_programs().expect("fp programs");
-        println!("{}", report::fig8(&sizes));
+        let (_, m) = build_matrix(&fpa_workloads::floating(), jobs);
+        println!("{}", report::fig8(&m.fig8));
         println!(
             "{}",
-            report::speedup("Section 7.5: FP programs on the 4-way machine", &speed)
+            report::speedup("Section 7.5: FP programs on the 4-way machine", &m.fig9)
         );
     }
+}
+
+/// Builds `set` once and runs its figure matrix; exits 1 on failure.
+fn build_matrix(set: &[fpa_workloads::Workload], jobs: usize) -> (ExperimentContext, MatrixReport) {
+    let ctx = ExperimentContext::new(set, &CostParams::default(), jobs).unwrap_or_else(|e| {
+        eprintln!("pipeline failed: {e}");
+        std::process::exit(1);
+    });
+    eprintln!("running the experiment matrix (4-way and 8-way machines)...");
+    let m = ctx.matrix().unwrap_or_else(|e| {
+        eprintln!("simulation failed: {e}");
+        std::process::exit(1);
+    });
+    (ctx, m)
 }
 
 /// The `--check` mode: builds the (optionally filtered) workload set and

@@ -1,7 +1,7 @@
 //! The batched simulation API: [`CellSpec`] → [`run_cells`] → [`CellResult`].
 //!
 //! Every consumer of the simulator — the experiment matrix, the
-//! `--check` co-simulation sweep, `fpa-bench`, and the fuzz oracle —
+//! `--check` co-simulation sweep, and the fuzz oracle —
 //! names its work the same way: a [`CellId`] (workload × scheme ×
 //! machine width) plus a [`CellMode`] saying which engine to run. A
 //! batch of such [`CellSpec`]s goes through [`run_cells`], which fans

@@ -7,7 +7,7 @@
 //! experiment matrix across a `std::thread::scope` worker pool. The cycle
 //! simulator itself stays single-threaded per run; parallelism is across
 //! independent runs only, so results are bit-identical for any `--jobs`
-//! value (see `tests/engine_matrix.rs`).
+//! value (see `tests/build_once.rs`).
 //!
 //! [`MatrixReport`] is the machine-readable result: every figure's rows
 //! plus per-workload telemetry (per-stage compile timings and simulator
@@ -182,12 +182,6 @@ impl ExperimentContext {
             build_seconds,
             frontend_runs: frontend_runs() - runs_before,
         })
-    }
-
-    /// Per-workload artifact-store outcomes, in workload order.
-    #[must_use]
-    pub fn store_outcomes(&self) -> &[StoreOutcome] {
-        &self.outcomes
     }
 
     /// The shared artifact store, in workload order.

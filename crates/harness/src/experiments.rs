@@ -1,17 +1,17 @@
-//! The paper's experiments, one function per table/figure.
+//! The paper's experiments: the figure row types and their formulas,
+//! the optimality-gap table and the cost-model ablation.
 //!
-//! Every figure is a batch of [`crate::cell::CellSpec`]s through the
-//! unified [`crate::cell::run_cells`] API; the row-assembly helpers
-//! (`*_row_from`) hold the paper's formulas in exactly one place, shared
-//! with the parallel experiment engine (`crate::engine`), which fans the
-//! same cells across a worker pool.
+//! Figures 8–10 and the §7.2 overheads are assembled in one place,
+//! [`crate::engine::ExperimentContext::matrix`], which fans their cells
+//! across a worker pool through [`crate::cell::run_cells`]. The
+//! row-assembly helpers here (`*_row_from`) hold each figure's formula
+//! exactly once.
 
 use crate::cell::{run_cells, CellError, CellId, CellMode, CellSpec, WidthPreset};
-use crate::compiler::{Error, Scheme};
+use crate::compiler::Scheme;
 use crate::pipeline::{build, CompiledWorkload};
 use fpa_partition::CostParams;
 use fpa_sim::{ExecError, FuncSimResult, TimingResult};
-use fpa_workloads::Workload;
 
 /// Functional-simulation fuel (instructions).
 pub const FUNC_FUEL: u64 = 200_000_000;
@@ -129,142 +129,6 @@ fn timing(r: &crate::cell::CellResult) -> &TimingResult {
     r.payload.timing().expect("timing cell")
 }
 
-fn functional(r: &crate::cell::CellResult) -> &FuncSimResult {
-    r.payload.functional().expect("functional cell")
-}
-
-/// Builds every workload in `set` (propagating the first failure).
-///
-/// # Errors
-///
-/// Returns the first pipeline failure.
-pub fn build_all(set: &[Workload]) -> Result<Vec<CompiledWorkload>, Error> {
-    set.iter()
-        .map(|w| build(w, &CostParams::default()))
-        .collect()
-}
-
-/// Figure 8: the size of the FPa partition as a percentage of dynamic
-/// instructions, per workload, basic vs advanced.
-///
-/// # Errors
-///
-/// Returns the first simulation failure.
-pub fn fig8_partition_size(compiled: &[CompiledWorkload]) -> Result<Vec<Fig8Row>, ExecError> {
-    let mut specs = Vec::with_capacity(2 * compiled.len());
-    for c in compiled {
-        for scheme in [Scheme::Basic, Scheme::Advanced] {
-            specs.push(CellSpec::new(
-                CellId::new(c.name.clone(), scheme, WidthPreset::FourWay),
-                CellMode::Functional,
-                FUNC_FUEL,
-            ));
-        }
-    }
-    let results = run_cells(compiled, &specs, 1).map_err(CellError::into_exec)?;
-    Ok(compiled
-        .iter()
-        .zip(results.chunks_exact(2))
-        .map(|(c, r)| fig8_row_from(&c.name, functional(&r[0]), functional(&r[1])))
-        .collect())
-}
-
-fn speedups(
-    compiled: &[CompiledWorkload],
-    width: WidthPreset,
-) -> Result<Vec<SpeedupRow>, ExecError> {
-    // The paper's figures compare conventional vs basic vs advanced; the
-    // optimal scheme is reported separately (the optimality-gap table).
-    let mut specs = Vec::with_capacity(3 * compiled.len());
-    for c in compiled {
-        for scheme in [Scheme::Conventional, Scheme::Basic, Scheme::Advanced] {
-            specs.push(CellSpec::new(
-                CellId::new(c.name.clone(), scheme, width),
-                CellMode::Timing,
-                TIMING_FUEL,
-            ));
-        }
-    }
-    let results = run_cells(compiled, &specs, 1).map_err(CellError::into_exec)?;
-    Ok(compiled
-        .iter()
-        .zip(results.chunks_exact(3))
-        .map(|(c, r)| speedup_row_from(&c.name, timing(&r[0]), timing(&r[1]), timing(&r[2])))
-        .collect())
-}
-
-/// Figure 9: percent speedup on the 4-way (2 int + 2 fp) machine.
-///
-/// # Errors
-///
-/// Returns the first simulation failure.
-pub fn fig9_speedup_4way(compiled: &[CompiledWorkload]) -> Result<Vec<SpeedupRow>, ExecError> {
-    speedups(compiled, WidthPreset::FourWay)
-}
-
-/// Figure 10: percent speedup on the 8-way (4 int + 4 fp) machine.
-///
-/// # Errors
-///
-/// Returns the first simulation failure.
-pub fn fig10_speedup_8way(compiled: &[CompiledWorkload]) -> Result<Vec<SpeedupRow>, ExecError> {
-    speedups(compiled, WidthPreset::EightWay)
-}
-
-/// The four cells behind one workload's §7.2 overhead row, in order:
-/// functional conventional, functional advanced, timing conventional and
-/// timing advanced (both on the augmented 4-way machine).
-fn overhead_specs(c: &CompiledWorkload) -> [CellSpec; 4] {
-    let id = |scheme| CellId::new(c.name.clone(), scheme, WidthPreset::FourWay);
-    [
-        CellSpec::new(id(Scheme::Conventional), CellMode::Functional, FUNC_FUEL),
-        CellSpec::new(id(Scheme::Advanced), CellMode::Functional, FUNC_FUEL),
-        CellSpec {
-            id: id(Scheme::Conventional),
-            mode: CellMode::Timing,
-            augmented: Some(true),
-            fuel: TIMING_FUEL,
-        },
-        CellSpec::new(id(Scheme::Advanced), CellMode::Timing, TIMING_FUEL),
-    ]
-}
-
-/// §7.2: instruction overheads of the advanced scheme.
-///
-/// # Errors
-///
-/// Returns the first simulation failure.
-pub fn overheads(compiled: &[CompiledWorkload]) -> Result<Vec<OverheadRow>, ExecError> {
-    let specs: Vec<CellSpec> = compiled.iter().flat_map(overhead_specs).collect();
-    let results = run_cells(compiled, &specs, 1).map_err(CellError::into_exec)?;
-    Ok(compiled
-        .iter()
-        .zip(results.chunks_exact(4))
-        .map(|(c, r)| {
-            overhead_row_from(
-                c,
-                functional(&r[0]),
-                functional(&r[1]),
-                timing(&r[2]),
-                timing(&r[3]),
-            )
-        })
-        .collect())
-}
-
-/// §7.5: the floating-point programs, reported like Figure 8 + Figure 9
-/// on the 4-way machine.
-///
-/// # Errors
-///
-/// Returns the first pipeline or simulation failure.
-pub fn fp_programs() -> Result<(Vec<Fig8Row>, Vec<SpeedupRow>), Box<dyn std::error::Error>> {
-    let compiled = build_all(&fpa_workloads::floating())?;
-    let sizes = fig8_partition_size(&compiled)?;
-    let speed = fig9_speedup_4way(&compiled)?;
-    Ok((sizes, speed))
-}
-
 /// One row of the optimality-gap table: how close the paper's heuristics
 /// come to the exact min-cut partition, in simulated cycles on the 4-way
 /// machine.
@@ -325,29 +189,31 @@ pub fn optimality_gap(compiled: &[CompiledWorkload]) -> Result<Vec<OptimalityGap
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ExperimentContext;
 
-    /// A cheap smoke test over two workloads; the full sweep lives in the
-    /// workspace integration tests and benches.
+    /// A cheap smoke test over two workloads; the full matrix is pinned
+    /// by `tests/golden_stats.rs` and printed by `fpa-report`.
     #[test]
     fn fig8_and_fig9_shapes_on_two_workloads() {
         let set: Vec<_> = ["m88ksim", "li"]
             .iter()
             .map(|n| fpa_workloads::by_name(n).unwrap())
             .collect();
-        let compiled = build_all(&set).unwrap();
-        let f8 = fig8_partition_size(&compiled).unwrap();
-        assert_eq!(f8.len(), 2);
-        for row in &f8 {
+        let m = ExperimentContext::new(&set, &CostParams::default(), 1)
+            .unwrap()
+            .matrix()
+            .unwrap();
+        assert_eq!(m.fig8.len(), 2);
+        for row in &m.fig8 {
             assert!(row.advanced_pct >= row.basic_pct - 1e-9, "{row:?}");
             assert!(row.advanced_pct < 60.0, "{row:?}");
         }
-        let f9 = fig9_speedup_4way(&compiled).unwrap();
         // m88ksim-analogue should speed up; nothing should slow down
         // catastrophically.
-        for row in &f9 {
+        for row in &m.fig9 {
             assert!(row.advanced_pct > -5.0, "{row:?}");
         }
-        let m88 = f9.iter().find(|r| r.name == "m88ksim").unwrap();
+        let m88 = m.fig9.iter().find(|r| r.name == "m88ksim").unwrap();
         assert!(m88.advanced_pct > 0.5, "m88ksim should gain: {m88:?}");
     }
 
@@ -355,8 +221,8 @@ mod tests {
     /// the modeled-objective dominance proof lives in `tests/optimality.rs`.
     #[test]
     fn optimality_gap_shape_on_one_workload() {
-        let set = vec![fpa_workloads::by_name("li").unwrap()];
-        let compiled = build_all(&set).unwrap();
+        let w = fpa_workloads::by_name("li").unwrap();
+        let compiled = vec![build(&w, &CostParams::default()).unwrap()];
         let rows = optimality_gap(&compiled).unwrap();
         assert_eq!(rows.len(), 1);
         let r = &rows[0];

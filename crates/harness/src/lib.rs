@@ -40,10 +40,7 @@ pub use compiler::{
     frontend_runs, Artifacts, Compiler, Error, Scheme, StageTimings, SuiteArtifacts,
 };
 pub use engine::{ExperimentContext, MatrixReport, RunTelemetry};
-pub use experiments::{
-    ablate_cost_params, fig10_speedup_8way, fig8_partition_size, fig9_speedup_4way, fp_programs,
-    overheads, AblationRow, Fig8Row, OverheadRow, SpeedupRow,
-};
+pub use experiments::{ablate_cost_params, AblationRow, Fig8Row, OverheadRow, SpeedupRow};
 pub use lint::{lint_matrix, lint_workload, LintRow};
 pub use pipeline::{build, CompiledWorkload};
 pub use serve::{respond, respond_batch, serve};

@@ -14,8 +14,7 @@
 //!   (pre-decode, ready queues, indexed store forwarding, cycle
 //!   skipping).
 //! * [`reference`] — the original full-window-rescan timing engine,
-//!   frozen as the behavioural spec the fast path is proven against and
-//!   as the `fpa-bench` baseline.
+//!   frozen as the behavioural spec the fast path is proven against.
 //! * [`config`] — machine parameter presets (4-way and 8-way, Table 1).
 //! * [`cache`] / [`predictor`] — the memory-hierarchy and branch-predictor
 //!   substrates.

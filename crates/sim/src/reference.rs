@@ -3,7 +3,7 @@
 //!
 //! [`crate::ooo::simulate`] replaced this loop with a wakeup-driven fast
 //! path (pre-decoded program, ready queues, indexed store forwarding,
-//! cycle skipping). The naive loop is kept, frozen, for three jobs:
+//! cycle skipping). The naive loop is kept, frozen, for two jobs:
 //!
 //! * **Equivalence testing** — the fast path must reproduce this
 //!   engine's [`TimingResult`] field-for-field and its `SimObserver`
@@ -14,8 +14,6 @@
 //!   them; those defects are expressed against this loop's explicit
 //!   full-window scan, so [`crate::ooo::simulate_with_faults`] routes
 //!   here whenever a fault is armed.
-//! * **Benchmark baseline** — `fpa-bench` measures the fast path's
-//!   speedup against [`simulate_reference`].
 //!
 //! Because this file is the semantic spec for the fast path, it must not
 //! be "improved": any behavioural change here silently redefines what

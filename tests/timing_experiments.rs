@@ -1,24 +1,31 @@
 //! Timing-simulation shape tests: the qualitative claims of §7.3/§7.4
-//! must hold on a representative subset of workloads (the full sweep is
-//! the `fpa-report` binary / the benches).
+//! must hold on a representative subset of workloads (the full matrix is
+//! printed by `fpa-report` and pinned by `golden_stats.rs`).
 
-use fpa::harness::experiments::{
-    build_all, fig10_speedup_8way, fig8_partition_size, fig9_speedup_4way,
-};
+use fpa::partition::CostParams;
 use fpa::sim::{simulate, MachineConfig};
-use fpa::{Compiler, Scheme};
+use fpa::{Compiler, ExperimentContext, MatrixReport, Scheme};
+use std::sync::OnceLock;
 
-fn subset() -> Vec<fpa::workloads::Workload> {
-    ["m88ksim", "go", "li"]
-        .iter()
-        .map(|n| fpa::workloads::by_name(n).unwrap())
-        .collect()
+/// The figure matrix over m88ksim, go and li, built and simulated once
+/// and shared by every test that reads its rows.
+fn subset_matrix() -> &'static MatrixReport {
+    static MATRIX: OnceLock<MatrixReport> = OnceLock::new();
+    MATRIX.get_or_init(|| {
+        let set: Vec<_> = ["m88ksim", "go", "li"]
+            .iter()
+            .map(|n| fpa::workloads::by_name(n).unwrap())
+            .collect();
+        ExperimentContext::new(&set, &CostParams::default(), 2)
+            .unwrap()
+            .matrix()
+            .unwrap()
+    })
 }
 
 #[test]
 fn four_way_speedups_have_the_papers_shape() {
-    let compiled = build_all(&subset()).unwrap();
-    let rows = fig9_speedup_4way(&compiled).unwrap();
+    let rows = &subset_matrix().fig9;
 
     let m88 = rows.iter().find(|r| r.name == "m88ksim").unwrap();
     let go = rows.iter().find(|r| r.name == "go").unwrap();
@@ -43,12 +50,10 @@ fn four_way_speedups_have_the_papers_shape() {
 fn eight_way_speedups_are_smaller() {
     // §7.4: "the improvements are much smaller" at 8-way because INT
     // issue width alone approaches the available parallelism.
-    let compiled = build_all(&subset()).unwrap();
-    let four = fig9_speedup_4way(&compiled).unwrap();
-    let eight = fig10_speedup_8way(&compiled).unwrap();
+    let m = subset_matrix();
     let mut sum4 = 0.0;
     let mut sum8 = 0.0;
-    for (a, b) in four.iter().zip(&eight) {
+    for (a, b) in m.fig9.iter().zip(&m.fig10) {
         assert_eq!(a.name, b.name);
         sum4 += a.advanced_pct;
         sum8 += b.advanced_pct;
@@ -61,9 +66,8 @@ fn eight_way_speedups_are_smaller() {
 
 #[test]
 fn partition_sizes_track_the_paper_ranges() {
-    let compiled = build_all(&subset()).unwrap();
-    let rows = fig8_partition_size(&compiled).unwrap();
-    for r in &rows {
+    let rows = &subset_matrix().fig8;
+    for r in rows {
         assert!(r.basic_pct >= 0.0 && r.basic_pct < 45.0, "{r:?}");
         assert!(r.advanced_pct >= r.basic_pct - 0.5, "{r:?}");
         assert!(
