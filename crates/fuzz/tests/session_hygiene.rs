@@ -1,9 +1,12 @@
 //! Session hygiene: a long-lived [`SimSession`] must be purely an
 //! allocation cache. Running the whole corpus through one session — in
 //! an order that interleaves workloads, schemes, and machine widths, so
-//! arenas repeatedly resize and the decoded-program cache churns — must
-//! produce results identical to giving every run a fresh session, and
-//! identical to the session-routed free functions the batch API uses.
+//! arenas repeatedly resize, memory pages written by one program must be
+//! zeroed before the next, and the decoded-program cache churns — must
+//! produce timing results, functional results with their final memory,
+//! and co-simulation reports identical to giving every run a fresh
+//! session, and identical to the session-routed free functions the batch
+//! API and the fuzz oracle use.
 
 use fpa_fuzz::corpus;
 use fpa_harness::Compiler;
@@ -69,9 +72,12 @@ fn interleaved_session_runs_match_fresh_state_runs() {
 
     // One persistent session, visiting cells outside-in (first, last,
     // second, second-to-last, ...) so consecutive runs flip between
-    // programs and widths — the worst case for stale arena state. Two
-    // full passes: the second replays everything through the warmed
-    // decoded-program cache.
+    // programs and widths — the worst case for stale arena and memory
+    // state. Each pass sweeps that order three times — timing runs,
+    // functional runs (with final memory), co-simulated runs — so every
+    // run of a kind follows a different program. Two full passes: the
+    // second replays everything through the warmed decoded-program
+    // cache.
     let mut session = SimSession::new();
     let mut order = Vec::with_capacity(cells.len());
     let (mut lo, mut hi) = (0, cells.len());
@@ -92,15 +98,49 @@ fn interleaved_session_runs_match_fresh_state_runs() {
                 "cell {k} (program {i}) diverged on persistent-session pass {pass}"
             );
         }
+        for &k in &order {
+            let program = &programs[cells[k].0].0;
+            let mut fresh = SimSession::new();
+            assert_eq!(
+                session.run_functional(program, FUEL),
+                fresh.run_functional(program, FUEL),
+                "cell {k} functional run diverged on pass {pass}"
+            );
+            assert!(
+                session.memory() == fresh.memory(),
+                "cell {k} final memory diverged on pass {pass}"
+            );
+        }
+        for &k in &order {
+            let (i, cfg) = &cells[k];
+            let got = session.cosimulate(&programs[*i].0, cfg, FUEL);
+            assert_eq!(
+                got,
+                SimSession::new().cosimulate(&programs[*i].0, cfg, FUEL),
+                "cell {k} co-simulation diverged on pass {pass}"
+            );
+        }
     }
 
     // The free functions route through the calling thread's shared
-    // session (how `run_cells` workers execute); they must agree too.
+    // session (how `run_cells` workers and the fuzz oracle execute);
+    // they must agree too.
     for (k, (i, cfg)) in cells.iter().enumerate() {
-        let got = fpa_sim::simulate(&programs[*i].0, cfg, FUEL);
+        let program = &programs[*i].0;
+        let got = fpa_sim::simulate(program, cfg, FUEL);
         assert_eq!(
             got, baseline[k],
             "cell {k} diverged via thread-local session"
+        );
+        assert_eq!(
+            fpa_sim::run_functional(program, FUEL),
+            SimSession::new().run_functional(program, FUEL),
+            "cell {k} functional run diverged via thread-local session"
+        );
+        assert_eq!(
+            fpa_sim::cosimulate(program, cfg, FUEL),
+            SimSession::new().cosimulate(program, cfg, FUEL),
+            "cell {k} co-simulation diverged via thread-local session"
         );
     }
 }

@@ -13,8 +13,11 @@
 //!
 //! Results are deterministic and independent of `jobs`: the simulators
 //! are single-threaded and sessions only cache *allocations*, never
-//! state (`crates/fuzz/tests/session_hygiene.rs` proves run results are
-//! identical under arbitrary interleaving).
+//! state. A session's machines keep their memory between cells and zero
+//! only the pages the previous run wrote;
+//! `crates/fuzz/tests/session_hygiene.rs` proves timing, functional and
+//! co-simulated results and final memory are identical under arbitrary
+//! interleaving.
 
 use crate::compiler::Scheme;
 use crate::engine::parallel_map;

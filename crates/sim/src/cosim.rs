@@ -86,7 +86,8 @@ fn truncate(s: &str, limit: usize) -> String {
 #[derive(Debug)]
 pub struct LockstepChecker {
     program: Program,
-    machine: Machine,
+    /// The functional machine; a session takes it back after the run.
+    pub(crate) machine: Machine,
     pc: u32,
     steps: u64,
     halted: bool,
@@ -100,8 +101,15 @@ impl LockstepChecker {
     /// Creates a checker with its own functional machine for `program`.
     #[must_use]
     pub fn new(program: &Program) -> LockstepChecker {
+        LockstepChecker::with_machine(program, Machine::empty())
+    }
+
+    /// [`Self::new`] on a lent machine, which is reset for `program`, so
+    /// a session reuses one checker machine across runs.
+    pub(crate) fn with_machine(program: &Program, mut machine: Machine) -> LockstepChecker {
+        machine.reset(program);
         LockstepChecker {
-            machine: Machine::new(program),
+            machine,
             pc: program.entry,
             program: program.clone(),
             steps: 0,
@@ -876,8 +884,18 @@ impl CosimObserver {
     /// Creates the composite observer for one `(program, config)` run.
     #[must_use]
     pub fn new(program: &Program, config: &MachineConfig) -> CosimObserver {
+        CosimObserver::with_machine(program, config, Machine::empty())
+    }
+
+    /// [`Self::new`] with the lockstep checker on a lent machine (see
+    /// [`LockstepChecker::with_machine`]).
+    pub(crate) fn with_machine(
+        program: &Program,
+        config: &MachineConfig,
+        machine: Machine,
+    ) -> CosimObserver {
         CosimObserver {
-            lockstep: LockstepChecker::new(program),
+            lockstep: LockstepChecker::with_machine(program, machine),
             invariants: InvariantChecker::new(config),
             events: EventCounters::default(),
         }

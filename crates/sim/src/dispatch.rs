@@ -326,7 +326,7 @@ fn h_sw(m: &mut Machine, x: &XInst, pc: u32) -> Result<Step, ExecError> {
 
 fn h_sb(m: &mut Machine, x: &XInst, pc: u32) -> Result<Step, ExecError> {
     let lo = m.check(ea(m, x), 1, pc)?;
-    m.mem[lo] = m.geti(x.b) as u8;
+    m.store(lo, [m.geti(x.b) as u8]);
     Ok(Step::Next)
 }
 
@@ -340,7 +340,7 @@ fn h_ld(m: &mut Machine, x: &XInst, pc: u32) -> Result<Step, ExecError> {
 fn h_sd(m: &mut Machine, x: &XInst, pc: u32) -> Result<Step, ExecError> {
     let lo = m.check(ea(m, x), 8, pc)?;
     let v = m.getraw(x.b);
-    m.mem[lo..lo + 8].copy_from_slice(&v.to_le_bytes());
+    m.store(lo, v.to_le_bytes());
     Ok(Step::Next)
 }
 
@@ -598,7 +598,8 @@ mod tests {
     }
 
     /// Every opcode's handler must agree with `Machine::exec` on both the
-    /// control transfer and the full architectural state it produces.
+    /// control transfer and the full architectural state it produces,
+    /// down to the memory pages it marks dirty.
     #[test]
     fn handlers_mirror_exec_for_every_opcode() {
         let r = |i: u8| -> Reg { IntReg::new(i).into() };
@@ -638,6 +639,12 @@ mod tests {
             assert_eq!(a.int_regs, b.int_regs, "{op:?} int regs");
             assert_eq!(a.fp_regs, b.fp_regs, "{op:?} fp regs");
             assert_eq!(a.mem, b.mem, "{op:?} memory");
+            assert_eq!(a.dirty, b.dirty, "{op:?} dirty pages");
+            assert_eq!(
+                a.dirty.iter().any(|&w| w != 0),
+                op.is_store(),
+                "{op:?} marks a page exactly when it stores"
+            );
             assert_eq!(a.output, b.output, "{op:?} output");
         }
     }

@@ -59,16 +59,29 @@ pub enum Step {
     Halt(i32),
 }
 
+/// log2 of the page size the dirty map tracks (4 KiB pages).
+const PAGE_SHIFT: u32 = 12;
+
 /// Architectural machine state: both register files plus byte-addressed
 /// memory.
+///
+/// Memory is zero-on-touch across runs: the machine records which 4 KiB
+/// pages a run wrote, and [`Machine::reset`] zeroes only those, so a
+/// reused machine pays for the pages a program touches, not for its
+/// whole address space.
 #[derive(Debug, Clone)]
 pub struct Machine {
     /// Integer register file (`$0` reads as zero).
     pub int_regs: [i32; 32],
     /// Floating-point register file (raw 64-bit values).
     pub fp_regs: [u64; 32],
-    /// Byte-addressable memory, `0..stack_top`.
-    pub mem: Vec<u8>,
+    /// Byte-addressable memory, `0..stack_top`. Every write goes through
+    /// [`Machine::store`] or [`Machine::reset`], which keep `dirty`
+    /// exact; read it through [`Machine::memory`].
+    pub(crate) mem: Vec<u8>,
+    /// One bit per 4 KiB page of `mem`: set when a store or the data
+    /// segment wrote the page since the last reset.
+    pub(crate) dirty: Vec<u64>,
     /// Observable output.
     pub output: String,
 }
@@ -78,30 +91,71 @@ impl Machine {
     /// pointer at the top of memory.
     #[must_use]
     pub fn new(program: &Program) -> Machine {
-        let mut m = Machine {
-            int_regs: [0; 32],
-            fp_regs: [0; 32],
-            mem: Vec::new(),
-            output: String::new(),
-        };
+        let mut m = Machine::empty();
         m.reset(program);
         m
     }
 
+    /// A machine with no memory yet; [`Machine::reset`] sizes it.
+    pub(crate) fn empty() -> Machine {
+        Machine {
+            int_regs: [0; 32],
+            fp_regs: [0; 32],
+            mem: Vec::new(),
+            dirty: Vec::new(),
+            output: String::new(),
+        }
+    }
+
     /// Re-initialises this machine for `program`, reusing the memory and
     /// output allocations from previous runs. Equivalent to
-    /// `*self = Machine::new(program)` without the allocation churn.
+    /// `*self = Machine::new(program)` without the allocation churn: when
+    /// the address space keeps its size, only the pages the last run
+    /// wrote are zeroed; otherwise the allocator hands back fresh zeroed
+    /// pages.
     pub fn reset(&mut self, program: &Program) {
         self.int_regs = [0; 32];
         self.fp_regs = [0; 32];
-        self.mem.clear();
-        self.mem.resize(program.stack_top as usize, 0);
+        let top = program.stack_top as usize;
+        if self.mem.len() == top {
+            for (w, word) in self.dirty.iter_mut().enumerate() {
+                let mut bits = std::mem::take(word);
+                while bits != 0 {
+                    let lo = (w * 64 + bits.trailing_zeros() as usize) << PAGE_SHIFT;
+                    self.mem[lo..top.min(lo + (1 << PAGE_SHIFT))].fill(0);
+                    bits &= bits - 1;
+                }
+            }
+        } else {
+            self.mem = vec![0; top];
+            self.dirty = vec![0; top.div_ceil(64 << PAGE_SHIFT)];
+        }
         for d in &program.data {
             let lo = d.addr as usize;
             self.mem[lo..lo + d.bytes.len()].copy_from_slice(&d.bytes);
+            for page in lo >> PAGE_SHIFT..(lo + d.bytes.len()).div_ceil(1 << PAGE_SHIFT) {
+                self.dirty[page >> 6] |= 1 << (page & 63);
+            }
         }
         self.output.clear();
         self.int_regs[IntReg::SP.index()] = program.stack_top as i32;
+    }
+
+    /// The memory image, `0..stack_top`.
+    #[must_use]
+    pub fn memory(&self) -> &[u8] {
+        &self.mem
+    }
+
+    /// Writes `bytes` at `lo`, which [`Machine::check`] accepted, and
+    /// marks the pages of its first and last byte dirty (an unaligned
+    /// access may cross a page boundary; none spans more than two).
+    #[inline]
+    pub(crate) fn store<const N: usize>(&mut self, lo: usize, bytes: [u8; N]) {
+        self.mem[lo..lo + N].copy_from_slice(&bytes);
+        for page in [lo >> PAGE_SHIFT, (lo + N - 1) >> PAGE_SHIFT] {
+            self.dirty[page >> 6] |= 1 << (page & 63);
+        }
     }
 
     /// Reads an integer register.
@@ -187,7 +241,7 @@ impl Machine {
 
     pub(crate) fn write_u32(&mut self, addr: u32, v: u32, pc: u32) -> Result<(), ExecError> {
         let lo = self.check(addr, 4, pc)?;
-        self.mem[lo..lo + 4].copy_from_slice(&v.to_le_bytes());
+        self.store(lo, v.to_le_bytes());
         Ok(())
     }
 
@@ -346,7 +400,7 @@ impl Machine {
             Sb => {
                 let addr = self.effective_addr(inst).expect("store");
                 let lo = self.check(addr, 1, pc)?;
-                self.mem[lo] = self.geti(rt()) as u8;
+                self.store(lo, [self.geti(rt()) as u8]);
             }
             Ld => {
                 let addr = self.effective_addr(inst).expect("load");
@@ -358,7 +412,7 @@ impl Machine {
                 let addr = self.effective_addr(inst).expect("store");
                 let lo = self.check(addr, 8, pc)?;
                 let v = self.getraw(rt());
-                self.mem[lo..lo + 8].copy_from_slice(&v.to_le_bytes());
+                self.store(lo, v.to_le_bytes());
             }
             Beqz | BeqzA => {
                 if self.geti(rs()) == 0 {

@@ -11,15 +11,14 @@ use crate::exec::ExecError;
 use fpa_isa::Program;
 use std::collections::HashMap;
 
-/// The result of a functional run.
+/// The result of a functional run. The final memory image stays in the
+/// session that ran it: see [`crate::SimSession::memory`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FuncSimResult {
     /// `main`'s return value.
     pub exit_code: i32,
     /// Everything printed.
     pub output: String,
-    /// Final memory image (for differential tests).
-    pub memory: Vec<u8>,
     /// Total retired instructions.
     pub total: u64,
     /// Instructions that executed in the FP subsystem (augmented integer

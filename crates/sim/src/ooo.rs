@@ -458,7 +458,10 @@ impl FaultInjection {
 /// the in-flight entry slab with its waiter vectors, the completion heap,
 /// the store index, and the scratch buffers. Every piece is reset — not
 /// reallocated — at the top of [`simulate_core`], so steady-state
-/// simulation across cells allocates nothing.
+/// simulation across cells allocates nothing. The machine's reset zeroes
+/// only the memory pages the previous run wrote (see
+/// [`Machine::reset`]), so a short run costs microseconds whatever its
+/// address space.
 #[derive(Debug)]
 pub(crate) struct SessionBufs {
     pub(crate) machine: Machine,
@@ -475,12 +478,7 @@ pub(crate) struct SessionBufs {
 impl SessionBufs {
     pub(crate) fn new() -> SessionBufs {
         SessionBufs {
-            machine: Machine {
-                int_regs: [0; 32],
-                fp_regs: [0; 32],
-                mem: Vec::new(),
-                output: String::new(),
-            },
+            machine: Machine::empty(),
             icache: None,
             dcache: None,
             gshare: None,

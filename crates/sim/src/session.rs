@@ -2,17 +2,25 @@
 //!
 //! A [`SimSession`] owns every piece of reusable simulator state — the
 //! architectural machine (register files, memory image, output buffer),
-//! cache tag arrays, branch-predictor counters, the in-flight entry slab
-//! with its waiter vectors, the completion heap, the store index, and a
-//! content-addressed cache of prepared programs (see
+//! a second machine the lockstep checker of [`SimSession::cosimulate`]
+//! borrows, cache tag arrays, branch-predictor counters, the in-flight
+//! entry slab with its waiter vectors, the completion heap, the store
+//! index, and a content-addressed cache of prepared programs (see
 //! [`crate::dispatch`]). Running many cells through one session costs
 //! zero steady-state allocation and decodes each distinct program once,
 //! no matter how many schemes, machine widths, or sweep points run it.
 //!
+//! Both machines keep their memory across runs and zero only the 4 KiB
+//! pages the previous run wrote (see [`crate::Machine::reset`]), so a
+//! run's fixed cost does not grow with the simulated address space. The
+//! final memory of the last run stays in the session, readable through
+//! [`SimSession::memory`].
+//!
 //! Results are bit-identical to fresh-state runs: the buffers carry
 //! *allocations* across runs, never state (everything is reset at the
 //! top of each run), which the session-hygiene property test in
-//! `fpa-fuzz` verifies for every corpus reproducer.
+//! `fpa-fuzz` verifies for every corpus reproducer, comparing timing,
+//! functional and co-simulated results and final memory.
 //!
 //! The free functions [`crate::simulate`], [`crate::simulate_observed`],
 //! [`crate::run_functional`], and [`crate::cosimulate`] all route through
@@ -23,7 +31,7 @@
 use crate::config::MachineConfig;
 use crate::cosim::{CosimObserver, CosimReport};
 use crate::dispatch::{self, PreProgram};
-use crate::exec::ExecError;
+use crate::exec::{ExecError, Machine};
 use crate::func_sim::FuncSimResult;
 use crate::observe::{NullObserver, SimObserver};
 use crate::ooo::{self, FaultInjection, SessionBufs, TimingResult};
@@ -34,7 +42,7 @@ use std::rc::Rc;
 
 /// Prepared-program cache bound: past this many distinct programs the
 /// cache is emptied wholesale. Far above any experiment sweep (eight
-/// workloads × three schemes), it only triggers on fuzz campaigns, where
+/// workloads × four schemes), it only triggers on fuzz campaigns, where
 /// every case is a fresh program and caching is moot anyway.
 const MAX_CACHED_PROGRAMS: usize = 192;
 
@@ -45,6 +53,8 @@ const MAX_CACHED_PROGRAMS: usize = 192;
 /// batch runner gives each worker its own.
 pub struct SimSession {
     bufs: SessionBufs,
+    /// The lockstep checker's machine, lent to each co-simulated run.
+    checker: Machine,
     programs: HashMap<u128, Rc<PreProgram>>,
 }
 
@@ -54,8 +64,17 @@ impl SimSession {
     pub fn new() -> SimSession {
         SimSession {
             bufs: SessionBufs::new(),
+            checker: Machine::empty(),
             programs: HashMap::new(),
         }
+    }
+
+    /// The final memory image of this session's last run (timing,
+    /// functional or co-simulated; for a failed run, memory as the fault
+    /// left it). Empty before the first run.
+    #[must_use]
+    pub fn memory(&self) -> &[u8] {
+        self.bufs.machine.memory()
     }
 
     /// Returns the prepared form of `program`, decoding it on first
@@ -194,7 +213,6 @@ impl SimSession {
         Ok(FuncSimResult {
             exit_code,
             output: std::mem::take(&mut self.bufs.machine.output),
-            memory: std::mem::take(&mut self.bufs.machine.mem),
             total,
             fp_subsystem,
             augmented,
@@ -217,15 +235,23 @@ impl SimSession {
         config: &MachineConfig,
         max_cycles: u64,
     ) -> Result<CosimReport, ExecError> {
-        let mut obs = CosimObserver::new(program, config);
-        let result = self.simulate_observed(program, config, max_cycles, &mut obs)?;
-        let violations = obs.finish(&result);
-        Ok(CosimReport {
-            result,
-            violations,
-            total_violations: obs.total_violations(),
-            events: obs.events,
-        })
+        let machine = std::mem::replace(&mut self.checker, Machine::empty());
+        let mut obs = CosimObserver::with_machine(program, config, machine);
+        let report = self
+            .simulate_observed(program, config, max_cycles, &mut obs)
+            .map(|result| {
+                let violations = obs.finish(&result);
+                CosimReport {
+                    result,
+                    violations,
+                    total_violations: obs.total_violations(),
+                    events: obs.events,
+                }
+            });
+        // `finish` reads the checker machine's output, so the machine
+        // comes back only after it ran.
+        self.checker = obs.lockstep.machine;
+        report
     }
 }
 
@@ -263,7 +289,7 @@ pub fn with_session<R>(f: impl FnOnce(&mut SimSession) -> R) -> R {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpa_isa::{Inst, IntReg, Op, Reg};
+    use fpa_isa::{DataItem, FpReg, Inst, IntReg, Op, Reg};
 
     fn counting_program(n: i32) -> Program {
         let r8: Reg = IntReg::new(8).into();
@@ -288,29 +314,153 @@ mod tests {
         p
     }
 
+    /// The dirtier's global stores: two pages per store opcode, one
+    /// opcode per page, so a store path that does not mark its page
+    /// leaves that page stale for the next run.
+    const GLOBAL_STORES: [(Op, i32); 8] = [
+        (Op::Sw, 0x3004),
+        (Op::Sw, 0x4ff0),
+        (Op::Swf, 0x5010),
+        (Op::Swf, 0x6ffc),
+        (Op::Sb, 0x7003),
+        (Op::Sb, 0x8802),
+        (Op::Sd, 0x9008),
+        (Op::Sd, 0xaff0),
+    ];
+    /// The dirtier's stack stores, as offsets from `stack_top`: one page
+    /// per store opcode.
+    const STACK_STORES: [(Op, i32); 4] = [
+        (Op::Sw, -4),
+        (Op::Swf, -0x1008),
+        (Op::Sb, -0x2001),
+        (Op::Sd, -0x3010),
+    ];
+    /// An unaligned word store whose last two bytes open page 11.
+    const CROSSING: i32 = 0xaffe;
+
+    fn with_rs(op: Op, rs: Reg) -> Inst {
+        Inst {
+            rs: Some(rs),
+            ..Inst::bare(op)
+        }
+    }
+
+    /// Writes every store opcode over many global and stack pages, after
+    /// loading a data segment that spans pages 1 and 2.
+    fn dirtier(stack_top: u32) -> Program {
+        let r9: Reg = IntReg::new(9).into();
+        let f2: Reg = FpReg::new(2).into();
+        let mut p = Program::new();
+        p.stack_top = stack_top;
+        p.data.push(DataItem {
+            addr: 0x1ff0,
+            bytes: vec![0x11; 32],
+            name: "spill".into(),
+        });
+        p.code = vec![
+            Inst::li(Op::Li, r9, 0x1234_5678),
+            Inst::li(Op::LiA, f2, -0x1357_9bdf),
+        ];
+        let value = |op| {
+            if matches!(op, Op::Sw | Op::Sb) {
+                r9
+            } else {
+                f2
+            }
+        };
+        for (op, addr) in GLOBAL_STORES {
+            p.code.push(Inst::store(op, value(op), IntReg::ZERO, addr));
+        }
+        for (op, off) in STACK_STORES {
+            p.code.push(Inst::store(op, value(op), IntReg::SP, off));
+        }
+        p.code.push(Inst::store(Op::Sw, r9, IntReg::ZERO, CROSSING));
+        p.code.push(with_rs(Op::Halt, r9));
+        p
+    }
+
+    /// Loads the words its own data segment leaves at their initial
+    /// values or zero — including every word the dirtier wrote and its
+    /// data segment covered — folds them into one number, prints it and
+    /// exits with it. Stale memory from an earlier run changes the fold.
+    fn reader(stack_top: u32) -> Program {
+        let (r10, r11, r12): (Reg, Reg, Reg) = (
+            IntReg::new(10).into(),
+            IntReg::new(11).into(),
+            IntReg::new(12).into(),
+        );
+        let mut p = Program::new();
+        p.stack_top = stack_top;
+        p.data.push(DataItem {
+            addr: 0x1000,
+            bytes: vec![1, 2, 3, 4, 5, 6, 7, 8],
+            name: "init".into(),
+        });
+        p.code = vec![Inst::li(Op::Li, r11, 0), Inst::li(Op::Li, r12, 31)];
+        let words = [0x1000, 0x1004, 0x1008, 0x1ff0, 0x1ffc, 0x2000, 0x200c]
+            .into_iter()
+            .chain(GLOBAL_STORES.map(|(_, addr)| addr))
+            .map(|addr| (IntReg::ZERO, addr))
+            .chain(STACK_STORES.map(|(_, off)| (IntReg::SP, off)))
+            .chain([(IntReg::ZERO, CROSSING), (IntReg::ZERO, CROSSING + 2)]);
+        for (base, off) in words {
+            p.code.extend([
+                Inst::load(Op::Lw, r10, base, off & !3),
+                Inst::alu(Op::Mul, r11, r11, r12),
+                Inst::alu(Op::Add, r11, r11, r10),
+            ]);
+        }
+        p.code.push(with_rs(Op::Print, r11));
+        p.code.push(with_rs(Op::Halt, r11));
+        p
+    }
+
     #[test]
     fn session_reuse_is_invisible_in_results() {
+        const FUEL: u64 = 1 << 20;
         let cfg = MachineConfig::four_way(true);
-        let p1 = counting_program(500);
-        let p2 = counting_program(3);
         let mut shared = SimSession::new();
-        // Interleave two programs through one session; every result must
-        // equal a fresh session's.
-        for _ in 0..3 {
-            for p in [&p1, &p2] {
-                let shared_t = shared.simulate(p, &cfg, 1 << 20).unwrap();
-                let fresh_t = SimSession::new().simulate(p, &cfg, 1 << 20).unwrap();
-                assert_eq!(shared_t, fresh_t);
-                let shared_f = shared.run_functional(p, 1 << 20).unwrap();
-                let fresh_f = SimSession::new().run_functional(p, 1 << 20).unwrap();
-                assert_eq!(shared_f.total, fresh_f.total);
-                assert_eq!(shared_f.exit_code, fresh_f.exit_code);
-                assert_eq!(shared_f.memory, fresh_f.memory);
-                assert_eq!(shared_f.block_counts, fresh_f.block_counts);
+        // Interleave the programs through one session, flipping the
+        // address space between 64 KiB and 8 MiB; every result and final
+        // memory must equal a fresh session's.
+        for top in [0x1_0000, Program::DEFAULT_STACK_TOP].repeat(2) {
+            let programs = [
+                counting_program(500),
+                dirtier(top),
+                reader(top),
+                counting_program(3),
+            ];
+            for p in &programs {
+                let mut fresh = SimSession::new();
+                let t = shared.simulate(p, &cfg, FUEL).unwrap();
+                assert_eq!(t, fresh.simulate(p, &cfg, FUEL).unwrap());
+                assert_eq!(t, crate::simulate_reference(p, &cfg, FUEL).unwrap());
+                assert!(shared.memory() == fresh.memory(), "final memory differs");
+
+                let mut fresh = SimSession::new();
+                let f = shared.run_functional(p, FUEL).unwrap();
+                assert_eq!(f, fresh.run_functional(p, FUEL).unwrap());
+                assert!(shared.memory() == fresh.memory(), "final memory differs");
+
+                let mut fresh = SimSession::new();
+                let c = shared.cosimulate(p, &cfg, FUEL).unwrap();
+                assert!(c.clean(), "{:?}", c.violations);
+                assert_eq!(c, fresh.cosimulate(p, &cfg, FUEL).unwrap());
+                assert!(shared.memory() == fresh.memory(), "final memory differs");
             }
+            // The dirtier really wrote every page it targets.
+            shared.run_functional(&programs[1], FUEL).unwrap();
+            let mem = shared.memory();
+            let word = |addr: usize| mem[addr & !3..(addr & !3) + 4] != [0; 4];
+            assert!(GLOBAL_STORES.iter().all(|&(_, a)| word(a as usize)));
+            assert!(STACK_STORES
+                .iter()
+                .all(|&(_, off)| word((top as i32 + off) as usize)));
+            assert!(word(CROSSING as usize + 2));
         }
-        // Two distinct programs decoded, each exactly once.
-        assert_eq!(shared.programs.len(), 2);
+        // Four distinct programs decoded (the stack size is not part of
+        // a program's code), each exactly once.
+        assert_eq!(shared.programs.len(), 4);
     }
 
     #[test]
