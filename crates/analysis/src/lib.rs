@@ -11,13 +11,13 @@
 //!
 //! The framework layers:
 //!
-//! * [`cfg`] — function-span and control-flow recovery from the symbol
+//! * [`cfg`](mod@cfg) — function-span and control-flow recovery from the symbol
 //!   table and branch targets, plus witness-path extraction;
 //! * [`solver`] — a generic forward worklist solver over join-semilattice
 //!   domains ([`solver::JoinLattice`]), and the per-register abstract
 //!   domain ([`solver::AbsVal`], [`solver::RegState`]) tracking
 //!   initialized-ness, entry-value staleness, and FPa taint;
-//! * [`lint`] — the six `FPA001`–`FPA006` checks producing structured
+//! * [`lint`](mod@lint) — the six `FPA001`–`FPA006` checks producing structured
 //!   [`Finding`]s.
 //!
 //! Use [`lint()`] directly, or through `fpa-cc --lint` /

@@ -135,8 +135,6 @@ pub fn compile_module_timed(module: &Module, assignment: &Assignment) -> (Progra
             call_fixups.push((base as usize + local_pc, *callee));
         }
         for (b, pc) in em.block_pc.iter().enumerate() {
-            prog.block_markers
-                .insert(base + pc, (func.name.clone(), b as u32));
             prog.symbols.push(Symbol {
                 pc: base + pc,
                 name: format!("{}.bb{b}", func.name),

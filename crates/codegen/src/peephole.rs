@@ -1,7 +1,7 @@
 //! Machine-level peephole cleanup.
 //!
 //! Three rewrites over a linked [`Program`], followed by compaction with
-//! full relocation of branch targets, symbols, and block markers:
+//! full relocation of branch targets and symbols:
 //!
 //! 1. **jump threading** — a control transfer whose target is an
 //!    unconditional `j` retargets to the chain's end;
@@ -105,18 +105,13 @@ fn compact(prog: &mut Program, keep: &[bool]) -> usize {
     for s in &mut prog.symbols {
         s.pc = remap[s.pc as usize];
     }
-    let markers = std::mem::take(&mut prog.block_markers);
-    prog.block_markers = markers
-        .into_iter()
-        .map(|(pc, v)| (remap[pc as usize], v))
-        .collect();
     removed
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpa_isa::{IntReg, Reg};
+    use fpa_isa::{IntReg, Reg, Symbol, SymbolKind};
 
     fn r(i: u8) -> Reg {
         IntReg::new(i).into()
@@ -132,13 +127,17 @@ mod tests {
             Inst::li(Op::Li, r(9), 2),         // 3
             Inst::bare(Op::Halt),              // 4
         ];
-        p.block_markers.insert(3, ("main".into(), 1));
+        p.symbols.push(Symbol {
+            pc: 3,
+            name: "main.bb1".into(),
+            kind: SymbolKind::Block,
+        });
         let removed = peephole(&mut p);
         assert_eq!(removed, 2);
         assert_eq!(p.code.len(), 3);
         assert!(matches!(p.code[0].op, Op::Li));
         assert!(matches!(p.code[1].op, Op::Li));
-        assert_eq!(p.block_markers.get(&1), Some(&("main".into(), 1)));
+        assert_eq!(p.symbols[0].pc, 1, "block symbol follows its instruction");
         p.validate().unwrap();
     }
 

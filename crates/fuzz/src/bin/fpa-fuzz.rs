@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! fpa-fuzz [--cases M] [--seed S] [--jobs N] [--lineages L]
-//!          [--shards N --shard-id K] [--blind] [--store DIR]
+//!          [--shards N --shard-id K] [--store DIR]
 //!          [--corpus DIR | --no-corpus] [--json PATH]
 //! fpa-fuzz merge SHARD.json... [--json PATH] [--corpus DIR]
 //! fpa-fuzz distill [--cases M] [--seed S] [--jobs N] [--lineages L]
@@ -20,8 +20,7 @@
 //! The default mode runs a **coverage-guided campaign**: the case budget
 //! splits across independent feedback lineages whose grammar-weight
 //! mutation and splicing chase structural coverage (RDG slice shapes,
-//! partition decisions, linter rule paths, oracle outcomes). `--blind`
-//! restores the fixed-seed feedback-free driver.
+//! partition decisions, linter rule paths, oracle outcomes).
 //!
 //! Sharding: `--shards N --shard-id K` runs lineage subset `l % N == K`
 //! and emits a shard report (`--json`); `fpa-fuzz merge` folds shard
@@ -34,10 +33,11 @@
 //! for convenience in CI configs — any other token, which is hashed
 //! (FNV-1a) to a seed, so e.g. `--seed 0xfpa2` is valid.
 
-use fpa_fuzz::campaign::{merge_shards, run_campaign, CampaignConfig, MergedReport, ShardReport};
+use fpa_fuzz::campaign::{
+    merge_shards, parse_seed, run_campaign, CampaignConfig, MergedReport, ShardReport,
+};
 use fpa_fuzz::corpus::Reproducer;
 use fpa_fuzz::distill::write_pins;
-use fpa_fuzz::driver::{parse_seed, run_fuzz, FuzzConfig};
 use fpa_fuzz::gen::GenConfig;
 use fpa_harness::engine::default_jobs;
 use fpa_harness::json::Json;
@@ -47,7 +47,7 @@ use std::process::ExitCode;
 fn usage() -> ! {
     eprintln!(
         "usage: fpa-fuzz [--cases M] [--seed S] [--jobs N] [--lineages L]\n\
-         \x20               [--shards N --shard-id K] [--blind] [--store DIR]\n\
+         \x20               [--shards N --shard-id K] [--store DIR]\n\
          \x20               [--corpus DIR | --no-corpus] [--json PATH]\n\
          \x20      fpa-fuzz merge SHARD.json... [--json PATH] [--corpus DIR]\n\
          \x20      fpa-fuzz distill [--cases M] [--seed S] [--jobs N] [--lineages L]\n\
@@ -63,7 +63,6 @@ struct Options {
     lineages: u32,
     shards: u32,
     shard_id: Option<u32>,
-    blind: bool,
     store: Option<PathBuf>,
     corpus: Option<PathBuf>,
     json_path: Option<PathBuf>,
@@ -79,7 +78,6 @@ fn parse_options(args: &[String]) -> Options {
         lineages: 16,
         shards: 1,
         shard_id: None,
-        blind: false,
         store: None,
         corpus: Some(PathBuf::from("fuzz/corpus")),
         json_path: None,
@@ -114,7 +112,6 @@ fn parse_options(args: &[String]) -> Options {
                 }
             }
             "--shard-id" => o.shard_id = Some(take(&mut i).parse().unwrap_or_else(|_| usage())),
-            "--blind" => o.blind = true,
             "--store" => o.store = Some(PathBuf::from(take(&mut i))),
             "--corpus" => o.corpus = Some(PathBuf::from(take(&mut i))),
             "--no-corpus" => o.corpus = None,
@@ -332,73 +329,6 @@ fn cmd_distill(o: &Options) -> ExitCode {
     }
 }
 
-fn cmd_blind(o: &Options) -> ExitCode {
-    if let Err(code) = init_store(o) {
-        return code;
-    }
-    let cfg = FuzzConfig {
-        cases: o.cases,
-        base_seed: o.seed,
-        jobs: o.jobs,
-        gen: GenConfig::default(),
-        corpus_dir: o.corpus.clone(),
-    };
-    let start = std::time::Instant::now();
-    let summary = run_fuzz(&cfg);
-    let secs = start.elapsed().as_secs_f64();
-    report_store_stats();
-
-    println!(
-        "fpa-fuzz: {} cases (blind), seed {:#x}, {} jobs, {:.1}s",
-        summary.cases, summary.base_seed, cfg.jobs, secs
-    );
-    println!("  coverage features     {:>8}", summary.coverage.len());
-    println!("  mean program size     {:>8.1} lines", summary.mean_lines);
-    println!(
-        "  advanced builds       {:>8}   (default + {}-point cost sweep)",
-        summary.advanced_builds,
-        fpa_fuzz::COST_SWEEP.len()
-    );
-    println!(
-        "  offloaded cases       {:>8}   ({} augmented instructions retired)",
-        summary.offloaded_cases, summary.total_augmented
-    );
-    println!("  retired (conv)        {:>8}", summary.total_retired);
-    println!(
-        "  store requests        {:>8}   ({} repeated suite keys)",
-        summary.store_requests, summary.store_repeats
-    );
-
-    if let Some(path) = &o.json_path {
-        if let Err(code) = write_json(path, &summary.to_json()) {
-            return code;
-        }
-    }
-
-    if summary.ok() {
-        println!("  divergences           {:>8}", 0);
-        ExitCode::SUCCESS
-    } else {
-        println!("  DIVERGENCES           {:>8}", summary.failures.len());
-        for f in &summary.failures {
-            println!(
-                "  case {} (seed {:#x}): [{}] {} — {} -> {} lines after {} shrink steps",
-                f.case,
-                f.seed,
-                f.kind,
-                f.message,
-                f.original_lines,
-                f.minimized_lines,
-                f.shrink_steps
-            );
-        }
-        for p in &summary.written {
-            println!("  reproducer written: {}", p.display());
-        }
-        ExitCode::FAILURE
-    }
-}
-
 fn cmd_campaign(o: &Options) -> ExitCode {
     if let Err(code) = init_store(o) {
         return code;
@@ -482,11 +412,7 @@ fn main() -> ExitCode {
             if !o.inputs.is_empty() {
                 usage();
             }
-            if o.blind {
-                cmd_blind(&o)
-            } else {
-                cmd_campaign(&o)
-            }
+            cmd_campaign(&o)
         }
     }
 }

@@ -1,10 +1,10 @@
 //! Coverage-guided campaigns: feedback, sharding, deterministic merge.
 //!
-//! The blind driver ([`crate::driver`]) iterates fixed seeds; a campaign
-//! *evolves* cases. Each case carries a [`Genome`] — a generator seed
-//! plus a [`GenConfig`] whose grammar weights and size knobs mutation
-//! and splicing perturb — and novelty against a [`CoverageMap`] decides
-//! which genomes become parents.
+//! A campaign *evolves* cases rather than iterating fixed seeds. Each
+//! case carries a [`Genome`] — a generator seed plus a [`GenConfig`]
+//! whose grammar weights and size knobs mutation and splicing perturb —
+//! and novelty against a [`CoverageMap`] decides which genomes become
+//! parents.
 //!
 //! # Lineages: determinism under sharding
 //!
@@ -19,14 +19,13 @@
 //! shard count and any `--jobs`. Within one shard, `--jobs` fans whole
 //! lineages across the worker pool (`parallel_map` preserves order).
 //!
-//! Every case still goes through the full differential oracle
+//! Every case goes through the full differential oracle
 //! ([`crate::oracle::check_case`]), whose timing stage batches the
-//! scheme cells through the harness `run_cells` API; failures are
-//! minimized exactly like blind-driver failures.
+//! scheme cells through the harness `run_cells` API; a failing case is
+//! minimized by [`crate::shrink`] with its failure kind held fixed.
 
 use crate::coverage::{CoverageMap, CoverageSignature};
 use crate::distill::NovelCase;
-use crate::driver::case_seed;
 use crate::gen::{generate, GenConfig};
 use crate::oracle::check_case;
 use crate::shrink;
@@ -78,9 +77,9 @@ impl Genome {
     }
 }
 
-/// Campaign configuration. Unlike [`crate::FuzzConfig`], the case budget
-/// is split across `lineages` independent feedback chains (see module
-/// docs) and the run may cover only one shard of the campaign.
+/// Campaign configuration. The case budget is split across `lineages`
+/// independent feedback chains (see module docs), and the run may cover
+/// only one shard of the campaign.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Total case budget of the *whole* campaign (all shards).
@@ -97,9 +96,10 @@ pub struct CampaignConfig {
     pub lineages: u32,
     /// Starting generator configuration of every lineage.
     pub gen: GenConfig,
-    /// Where the CLI writes failure reproducers after merging (`None` =
-    /// don't write). Carried on the config for symmetry with
-    /// [`crate::FuzzConfig`]; [`run_campaign`] itself never writes.
+    /// Unused: [`run_campaign`] never reads it, and the CLI writes
+    /// reproducers from its own `--corpus` option after merging. Kept
+    /// only because the benchmark builds this config with a struct
+    /// literal that names the field.
     pub corpus_dir: Option<PathBuf>,
 }
 
@@ -130,7 +130,7 @@ pub struct CampaignFailure {
     /// Step within the lineage.
     pub step: u32,
     /// Global case index (lineage-offset prefix sum + step): stable
-    /// across shard counts, comparable to blind-driver case numbers.
+    /// across shard counts and job counts.
     pub case: u32,
     /// Failing genome.
     pub genome: Genome,
@@ -391,10 +391,9 @@ impl MergedReport {
         self.failures.is_empty()
     }
 
-    /// Machine-readable campaign report (schema `fpa-fuzz-report`, v3 —
-    /// v2 is the blind driver's; earlier campaign reports were v2
-    /// without the `store_*` counters). Canonical: equal campaigns
-    /// render byte-identically.
+    /// Machine-readable campaign report (schema `fpa-fuzz-report`, v3;
+    /// earlier campaign reports were v2 without the `store_*` counters).
+    /// Canonical: equal campaigns render byte-identically.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let mut j = Json::obj();
@@ -445,6 +444,37 @@ impl fmt::Display for MergeError {
 
 impl std::error::Error for MergeError {}
 
+/// Parses a seed token: a decimal number, a `0x`-prefixed hex number,
+/// or — for mnemonic seeds in CI configs, like `0xfpa2` — anything
+/// else, hashed with FNV-1a to a 64-bit seed.
+#[must_use]
+pub fn parse_seed(s: &str) -> u64 {
+    if let Ok(v) = s.parse::<u64>() {
+        return v;
+    }
+    if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
+        if let Ok(v) = u64::from_str_radix(hex, 16) {
+            return v;
+        }
+    }
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in s.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Derives seed `case` of a `base_seed` with the formula
+/// `fpa_testutil::run_cases` uses, so a case replays under either
+/// harness. Campaigns seed lineage `l`'s RNG with `case_seed(base, l)`.
+#[must_use]
+pub fn case_seed(base_seed: u64, case: u32) -> u64 {
+    base_seed
+        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        .wrapping_add(u64::from(case) + 1)
+}
+
 /// Cases lineage `l` runs out of a `cases` budget over `lineages`
 /// chains: an even split with the remainder spread over the lowest
 /// lineage indices.
@@ -468,16 +498,16 @@ pub fn global_case(cases: u32, lineages: u32, l: u32, step: u32) -> u32 {
 /// lineage)` — nothing else.
 fn run_lineage(cfg: &CampaignConfig, lineage: u32) -> LineageResult {
     let steps = lineage_steps(cfg.cases, cfg.lineages, lineage);
-    // The lineage RNG drives genome selection and mutation. Its seed
-    // derivation reuses the blind driver's case-seed formula keyed by
-    // lineage, then decorrelates generator seeds by drawing them from
-    // this stream rather than from the formula directly.
+    // The lineage RNG drives genome selection and mutation. Its seed is
+    // `case_seed` keyed by lineage; generator seeds are drawn from this
+    // stream rather than from the formula directly, which decorrelates
+    // them from the fixed-seed cases `case_seed(base_seed, c)` names.
     let mut rng = Rng::new(case_seed(cfg.base_seed, lineage));
     // Diverse initialization: lineage 0 starts at the configured
-    // generator exactly (anchoring the campaign to the blind baseline's
-    // neighborhood); every other lineage re-samples its starting
-    // configuration across the whole size/weight space, and feedback
-    // refines from there.
+    // generator exactly (anchoring the campaign to the default
+    // generator's neighborhood); every other lineage re-samples its
+    // starting configuration across the whole size/weight space, and
+    // feedback refines from there.
     let base_cfg = if lineage == 0 {
         cfg.gen.clone()
     } else {
@@ -511,7 +541,7 @@ fn run_lineage(cfg: &CampaignConfig, lineage: u32) -> LineageResult {
         // otherwise splice two parents (1-in-4) or mutate one. Parent
         // picks are recency-biased half the time: late parents carry the
         // accumulated drift, and continuing their walk is what escapes
-        // the blind generator's neighborhood.
+        // the default generator's neighborhood.
         let pick_parent = |rng: &mut Rng, n: usize| -> usize {
             if rng.bool() {
                 n - 1 - rng.index(n.min(4))
@@ -718,6 +748,18 @@ pub fn merge_shards(shards: &[ShardReport]) -> Result<MergedReport, MergeError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn case_seed_matches_testutil_formula() {
+        // Keep in sync with `fpa_testutil::run_cases`: same base, same
+        // case index => same rng stream.
+        let base = 0xfeed;
+        let seed = case_seed(base, 3);
+        assert_eq!(
+            seed,
+            base.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(4)
+        );
+    }
 
     #[test]
     fn lineage_steps_partition_the_budget() {

@@ -7,7 +7,7 @@
 //! out. All of those are already computed by a passing oracle check —
 //! this module hashes them into a compact feature set.
 //!
-//! Every feature is a `u64`: a [`mix`]-hashed tuple of a family tag and
+//! Every feature is a `u64`: a `mix`-hashed tuple of a family tag and
 //! a handful of *bucketed* operands. Bucketing (log2 size classes,
 //! octile fractions) is what makes the map saturate: raw counts would
 //! make nearly every case "novel" and feedback would degenerate to

@@ -185,7 +185,7 @@ impl GenConfig {
     }
 
     /// A mutated copy: one or two operations, each either nudging a few
-    /// weight entries or stepping a size knob within [`SIZE_BOUNDS`].
+    /// weight entries or stepping a size knob within `SIZE_BOUNDS`.
     /// Size knobs get a double share — structural size is what unlocks
     /// new coverage buckets (log2 size classes need 2× growth).
     /// Deterministic in `rng`.
@@ -215,7 +215,7 @@ impl GenConfig {
     }
 
     /// A freshly explored configuration: every size knob sampled
-    /// uniformly within [`SIZE_BOUNDS`] and every weight table perturbed.
+    /// uniformly within `SIZE_BOUNDS` and every weight table perturbed.
     /// Campaign lineages use this to spread their starting points across
     /// the whole configuration space — incremental [`GenConfig::mutate`]
     /// steps are a symmetric random walk and on their own never leave the

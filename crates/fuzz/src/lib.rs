@@ -22,29 +22,30 @@
 //!    reproducer (seed and provenance in `//` comments) to
 //!    `fuzz/corpus/`, which the regression tests replay.
 //!
-//! [`driver`] ties it together and fans cases out over the harness's
-//! worker pool; the `fpa-fuzz` binary is the CLI
-//! (`fpa-fuzz --cases 1000 --seed 1 --jobs 4`). Runs are deterministic
-//! for a fixed seed at any job count.
+//! [`campaign`] ties it together: a coverage-guided campaign evolves
+//! cases across independent lineages, fanned out over the harness's
+//! worker pool, and merges shard reports deterministically. The
+//! `fpa-fuzz` binary is the CLI (`fpa-fuzz --cases 1000 --seed 1
+//! --jobs 4`). Runs are deterministic for a fixed seed at any job count
+//! and any shard split.
 
 pub mod ast;
 pub mod campaign;
 pub mod corpus;
 pub mod coverage;
 pub mod distill;
-pub mod driver;
 pub mod gen;
 pub mod oracle;
 pub mod shrink;
 
 pub use ast::GProgram;
 pub use campaign::{
-    merge_shards, run_campaign, CampaignConfig, CampaignFailure, MergedReport, ShardReport,
+    case_seed, merge_shards, parse_seed, run_campaign, CampaignConfig, CampaignFailure,
+    MergedReport, ShardReport,
 };
 pub use corpus::CorpusError;
 pub use coverage::{extract, CoverageMap, CoverageSignature};
 pub use distill::{distill, union_coverage, write_pins, DistilledCase, NovelCase};
-pub use driver::{case_seed, parse_seed, run_fuzz, CaseFailure, FuzzConfig, FuzzSummary};
 pub use gen::{generate, GenConfig, GenWeights};
 pub use oracle::{
     case_store_key, check_case, check_source, CheckedCase, FailureKind, OracleFailure, OracleStats,

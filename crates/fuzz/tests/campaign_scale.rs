@@ -3,17 +3,23 @@
 //! Two properties from the engine's contract:
 //!
 //!   1. Feedback pays: a 500-case coverage-guided campaign reaches
-//!      strictly more distinct coverage features than the blind
-//!      fixed-seed driver given the same budget and base seed.
+//!      strictly more distinct coverage features than the same budget
+//!      of fixed-seed cases — case `c` generated from
+//!      `case_seed(SEED, c)` at the default grammar, with no feedback.
 //!   2. Shard-merge determinism: splitting the same campaign over
 //!      1, 2, or 4 shards (at varying `jobs`) merges to byte-identical
 //!      report JSON, with identical failure lists.
 //!
 //! The 500-case unsharded run is computed once and shared between the
-//! tests, so the whole file costs three campaign runs plus one blind
-//! run.
+//! tests, so the whole file costs three campaign runs plus one pass over
+//! the 500 fixed-seed cases.
 
-use fpa_fuzz::{merge_shards, run_campaign, run_fuzz, CampaignConfig, FuzzConfig, MergedReport};
+use fpa_fuzz::{
+    case_seed, check_case, generate, merge_shards, run_campaign, CampaignConfig, CoverageMap,
+    CoverageSignature, GenConfig, MergedReport,
+};
+use fpa_harness::engine::parallel_map;
+use fpa_testutil::Rng;
 use std::sync::OnceLock;
 
 const CASES: u32 = 500;
@@ -37,22 +43,36 @@ fn unsharded() -> &'static MergedReport {
     REPORT.get_or_init(|| merge_shards(&[campaign(1, 0, 4)]).expect("single shard merges"))
 }
 
+/// The feedback-free baseline: the union of the coverage signatures of
+/// cases `0..CASES`, case `c` generated from `case_seed(SEED, c)` at the
+/// default grammar (a failing case contributes its failure signature).
+fn fixed_seed_coverage() -> CoverageMap {
+    let cases: Vec<u32> = (0..CASES).collect();
+    let signatures = parallel_map(&cases, 4, |&c| {
+        let src = generate(&mut Rng::new(case_seed(SEED, c)), &GenConfig::default()).render();
+        match check_case(&src) {
+            Ok(checked) => checked.signature,
+            Err(f) => CoverageSignature::from_failure(f.kind.label(), &f.config),
+        }
+    });
+    let mut coverage = CoverageMap::new();
+    for signature in &signatures {
+        coverage.add(signature);
+    }
+    coverage
+}
+
 #[test]
 fn guided_campaign_beats_blind_coverage() {
-    let blind = run_fuzz(&FuzzConfig {
-        cases: CASES,
-        base_seed: SEED,
-        jobs: 4,
-        ..FuzzConfig::default()
-    });
+    let blind = fixed_seed_coverage();
     let guided = unsharded();
     assert!(
-        guided.coverage.len() > blind.coverage.len(),
+        guided.coverage.len() > blind.len(),
         "coverage-guided campaign must reach strictly more distinct \
-         features than the blind driver at the same budget: guided {} \
-         vs blind {}",
+         features than fixed-seed cases at the same budget: guided {} \
+         vs fixed-seed {}",
         guided.coverage.len(),
-        blind.coverage.len()
+        blind.len()
     );
 }
 

@@ -3,9 +3,11 @@
 //! critical one — proof that an *injected* codegen bug is caught by the
 //! differential oracle and shrunk to a small reproducer.
 
-use fpa_fuzz::driver::{case_seed, parse_seed, run_fuzz, FuzzConfig};
 use fpa_fuzz::gen::{generate, GenConfig};
-use fpa_fuzz::{minimize, GProgram};
+use fpa_fuzz::{
+    case_seed, merge_shards, minimize, parse_seed, run_campaign, CampaignConfig, GProgram,
+    MergedReport,
+};
 use fpa_harness::Compiler;
 use fpa_isa::Op;
 use fpa_sim::run_functional;
@@ -13,16 +15,22 @@ use fpa_testutil::Rng;
 
 const FUEL: u64 = 50_000_000;
 
+/// An unsharded `cases`-case campaign at `base_seed` on `jobs` workers,
+/// merged.
+fn campaign(cases: u32, base_seed: u64, jobs: usize) -> MergedReport {
+    let shard = run_campaign(&CampaignConfig {
+        cases,
+        base_seed,
+        jobs,
+        ..CampaignConfig::default()
+    });
+    merge_shards(std::slice::from_ref(&shard)).expect("single shard merges")
+}
+
 #[test]
 fn bounded_campaign_is_clean_and_exercises_offloading() {
-    let cfg = FuzzConfig {
-        cases: 40,
-        base_seed: 0x5eed,
-        jobs: 2,
-        gen: GenConfig::default(),
-        corpus_dir: None,
-    };
-    let s = run_fuzz(&cfg);
+    let cases = 40;
+    let s = campaign(cases, 0x5eed, 2);
     assert!(
         s.ok(),
         "campaign found {} divergences; first: {}",
@@ -32,15 +40,14 @@ fn bounded_campaign_is_clean_and_exercises_offloading() {
     // The generator must produce programs the partitioner actually
     // offloads, or the fuzzer is not testing the paper's mechanism.
     assert!(
-        s.offloaded_cases > cfg.cases / 4,
-        "only {}/{} cases offloaded",
-        s.offloaded_cases,
-        cfg.cases
+        s.offloaded_cases > cases / 4,
+        "only {}/{cases} cases offloaded",
+        s.offloaded_cases
     );
     // Every case checks the default advanced build plus the 3-point sweep.
-    assert_eq!(s.advanced_builds, u64::from(cfg.cases) * 4);
+    assert_eq!(s.advanced_builds, u64::from(cases) * 4);
     // ...and co-simulates all four default builds on the timing machine.
-    assert_eq!(s.timing_checked, u64::from(cfg.cases) * 4);
+    assert_eq!(s.timing_checked, u64::from(cases) * 4);
 }
 
 #[test]
@@ -48,14 +55,9 @@ fn cosim_failures_stay_zero_on_200_seeded_cases() {
     // The wakeup-driven simulator fast path runs under lockstep
     // co-simulation on every fuzz case; across 200 seeded cases not one
     // may trip a lockstep or invariant check (FailureKind::Cosim).
-    let cfg = FuzzConfig {
-        cases: 200,
-        base_seed: 0xfa57,
-        jobs: std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get),
-        gen: GenConfig::default(),
-        corpus_dir: None,
-    };
-    let s = run_fuzz(&cfg);
+    let cases = 200;
+    let jobs = std::thread::available_parallelism().map_or(2, std::num::NonZeroUsize::get);
+    let s = campaign(cases, 0xfa57, jobs);
     let cosim: Vec<_> = s.failures.iter().filter(|f| f.kind == "cosim").collect();
     assert!(
         cosim.is_empty(),
@@ -64,20 +66,13 @@ fn cosim_failures_stay_zero_on_200_seeded_cases() {
         cosim[0].message
     );
     // Four timing runs per case (conventional/basic/advanced/optimal, 4-way).
-    assert_eq!(s.timing_checked, u64::from(cfg.cases) * 4);
+    assert_eq!(s.timing_checked, u64::from(cases) * 4);
 }
 
 #[test]
 fn campaign_summary_is_identical_for_any_job_count() {
-    let mk = |jobs| FuzzConfig {
-        cases: 16,
-        base_seed: 7,
-        jobs,
-        gen: GenConfig::default(),
-        corpus_dir: None,
-    };
-    let a = run_fuzz(&mk(1)).to_json().render();
-    let b = run_fuzz(&mk(3)).to_json().render();
+    let a = campaign(16, 7, 1).to_json().render();
+    let b = campaign(16, 7, 3).to_json().render();
     assert_eq!(a, b, "summary depends on --jobs");
 }
 

@@ -240,10 +240,6 @@ fn enc_program(e: &mut Encoder, p: &Program) {
         });
     }
     e.u32(p.stack_top);
-    e.usize(p.block_markers.len());
-    for (pc, (func, block)) in &p.block_markers {
-        e.u32(*pc).str(func).u32(*block);
-    }
 }
 
 fn dec_program(d: &mut Decoder) -> Result<Program, CodecError> {
@@ -271,12 +267,6 @@ fn dec_program(d: &mut Decoder) -> Result<Program, CodecError> {
         });
     }
     p.stack_top = d.u32()?;
-    for _ in 0..d.usize()? {
-        let pc = d.u32()?;
-        let func = d.str()?.to_string();
-        let block = d.u32()?;
-        p.block_markers.insert(pc, (func, block));
-    }
     Ok(p)
 }
 
@@ -937,20 +927,6 @@ impl StoreOutcome {
             self,
             StoreOutcome::MemHit | StoreOutcome::DiskHit | StoreOutcome::Coalesced
         )
-    }
-
-    /// Parses a [`StoreOutcome::label`] back (for report round-trips).
-    #[must_use]
-    pub fn from_label(label: &str) -> Option<StoreOutcome> {
-        [
-            StoreOutcome::Disabled,
-            StoreOutcome::Miss,
-            StoreOutcome::MemHit,
-            StoreOutcome::DiskHit,
-            StoreOutcome::Coalesced,
-        ]
-        .into_iter()
-        .find(|o| o.label() == label)
     }
 }
 

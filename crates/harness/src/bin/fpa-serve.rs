@@ -1,6 +1,7 @@
 //! `fpa-serve` — the batching compile-and-simulate daemon.
 //!
-//! Speaks the line-delimited JSON protocol of [`fpa_harness::serve`]
+//! Speaks the line-delimited JSON protocol of
+//! [`fpa_harness::serve`](mod@fpa_harness::serve)
 //! over TCP. With `--store`, compiles go through the persistent
 //! content-addressed artifact store, so repeat sources across requests
 //! and connections are answered from cache and concurrent duplicates

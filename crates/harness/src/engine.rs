@@ -11,9 +11,9 @@
 //!
 //! [`MatrixReport`] is the machine-readable result: every figure's rows
 //! plus per-workload telemetry (per-stage compile timings and simulator
-//! event counters), serializable to JSON ([`MatrixReport::to_json`]) and
-//! back ([`MatrixReport::from_json`]) with the hand-rolled `crate::json`
-//! reader/writer.
+//! event counters), serialized to JSON by [`MatrixReport::to_json`] with
+//! the hand-rolled `crate::json` writer. Nothing reads a report back;
+//! the golden test pins its bytes.
 
 use crate::artifact::StoreOutcome;
 use crate::cell::{run_cells, CellError, CellId, CellMode, CellSpec, WidthPreset};
@@ -29,7 +29,7 @@ use fpa_sim::EventCounters;
 use fpa_workloads::Workload;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Maps `f` over `items` on `jobs` worker threads, preserving input
 /// order in the output regardless of completion order.
@@ -319,10 +319,10 @@ impl ExperimentContext {
     }
 }
 
-// ---- JSON (de)serialization -------------------------------------------
+// ---- JSON serialization ------------------------------------------------
 
-/// Stage timings as an exact-integer nanosecond object (bit-exact JSON
-/// round-trip; `f64` holds integers exactly up to 2^53 ns ≈ 104 days).
+/// Stage timings as an exact-integer nanosecond object (`f64` holds
+/// integers exactly up to 2^53 ns ≈ 104 days).
 fn timings_to_json(t: &StageTimings) -> Json {
     let mut o = Json::obj();
     o.set("parse_ns", t.parse.as_nanos() as u64)
@@ -332,18 +332,6 @@ fn timings_to_json(t: &StageTimings) -> Json {
         .set("regalloc_ns", t.regalloc.as_nanos() as u64)
         .set("emit_ns", t.emit.as_nanos() as u64);
     o
-}
-
-fn timings_from_json(v: &Json) -> Option<StageTimings> {
-    let ns = |k: &str| v.get(k)?.as_u64().map(Duration::from_nanos);
-    Some(StageTimings {
-        parse: ns("parse_ns")?,
-        optimize: ns("optimize_ns")?,
-        profile: ns("profile_ns")?,
-        partition: ns("partition_ns")?,
-        regalloc: ns("regalloc_ns")?,
-        emit: ns("emit_ns")?,
-    })
 }
 
 fn events_to_json(e: &EventCounters) -> Json {
@@ -356,18 +344,6 @@ fn events_to_json(e: &EventCounters) -> Json {
         .set("writebacks", e.writebacks)
         .set("retired", e.retired);
     o
-}
-
-fn events_from_json(v: &Json) -> Option<EventCounters> {
-    Some(EventCounters {
-        fetched: v.get("fetched")?.as_u64()?,
-        dispatched: v.get("dispatched")?.as_u64()?,
-        issued_int: v.get("issued_int")?.as_u64()?,
-        issued_fp: v.get("issued_fp")?.as_u64()?,
-        issued_mem: v.get("issued_mem")?.as_u64()?,
-        writebacks: v.get("writebacks")?.as_u64()?,
-        retired: v.get("retired")?.as_u64()?,
-    })
 }
 
 impl RunTelemetry {
@@ -388,26 +364,6 @@ impl RunTelemetry {
             .set("events", events_to_json(&self.events));
         o
     }
-
-    fn from_json(v: &Json) -> Option<RunTelemetry> {
-        Some(RunTelemetry {
-            name: v.get("name")?.as_str()?.to_string(),
-            timings: timings_from_json(v.get("stages")?)?,
-            sim_seconds: v.get("sim_seconds")?.as_f64()?,
-            cycles_4way: (
-                v.get("conventional_cycles_4way")?.as_u64()?,
-                v.get("basic_cycles_4way")?.as_u64()?,
-                v.get("advanced_cycles_4way")?.as_u64()?,
-            ),
-            fetch_stall_cycles: v.get("fetch_stall_cycles")?.as_u64()?,
-            int_window_occupancy: v.get("int_window_occupancy")?.as_f64()?,
-            fp_window_occupancy: v.get("fp_window_occupancy")?.as_f64()?,
-            copies_retired: v.get("copies_retired")?.as_u64()?,
-            static_copies: v.get("static_copies")?.as_u64()? as usize,
-            store: StoreOutcome::from_label(v.get("store")?.as_str()?)?,
-            events: events_from_json(v.get("events")?)?,
-        })
-    }
 }
 
 fn fig8_to_json(r: &Fig8Row) -> Json {
@@ -418,14 +374,6 @@ fn fig8_to_json(r: &Fig8Row) -> Json {
     o
 }
 
-fn fig8_from_json(v: &Json) -> Option<Fig8Row> {
-    Some(Fig8Row {
-        name: v.get("name")?.as_str()?.to_string(),
-        basic_pct: v.get("basic_pct")?.as_f64()?,
-        advanced_pct: v.get("advanced_pct")?.as_f64()?,
-    })
-}
-
 fn speedup_to_json(r: &SpeedupRow) -> Json {
     let mut o = Json::obj();
     o.set("name", r.name.as_str())
@@ -434,16 +382,6 @@ fn speedup_to_json(r: &SpeedupRow) -> Json {
         .set("conventional_cycles", r.conventional_cycles)
         .set("int_idle_fp_busy_frac", r.int_idle_fp_busy_frac);
     o
-}
-
-fn speedup_from_json(v: &Json) -> Option<SpeedupRow> {
-    Some(SpeedupRow {
-        name: v.get("name")?.as_str()?.to_string(),
-        basic_pct: v.get("basic_pct")?.as_f64()?,
-        advanced_pct: v.get("advanced_pct")?.as_f64()?,
-        conventional_cycles: v.get("conventional_cycles")?.as_u64()?,
-        int_idle_fp_busy_frac: v.get("int_idle_fp_busy_frac")?.as_f64()?,
-    })
 }
 
 fn overhead_to_json(r: &OverheadRow) -> Json {
@@ -458,20 +396,6 @@ fn overhead_to_json(r: &OverheadRow) -> Json {
     o
 }
 
-fn overhead_from_json(v: &Json) -> Option<OverheadRow> {
-    Some(OverheadRow {
-        name: v.get("name")?.as_str()?.to_string(),
-        dynamic_increase_pct: v.get("dynamic_increase_pct")?.as_f64()?,
-        copy_pct: v.get("copy_pct")?.as_f64()?,
-        static_increase_pct: v.get("static_increase_pct")?.as_f64()?,
-        load_change_pct: v.get("load_change_pct")?.as_f64()?,
-        icache_miss_rates: (
-            v.get("icache_miss_rate_conventional")?.as_f64()?,
-            v.get("icache_miss_rate_advanced")?.as_f64()?,
-        ),
-    })
-}
-
 impl MatrixReport {
     /// Schema identifier written into every report.
     pub const SCHEMA: &'static str = "fpa-matrix-report";
@@ -480,7 +404,7 @@ impl MatrixReport {
     /// `store` labels in telemetry).
     pub const VERSION: u64 = 2;
 
-    /// Serializes to the `BENCH_*.json`-compatible JSON document.
+    /// Serializes to the `fpa-matrix-report` JSON document.
     #[must_use]
     pub fn to_json(&self) -> Json {
         let arr = |v: Vec<Json>| Json::Arr(v);
@@ -509,34 +433,6 @@ impl MatrixReport {
                 arr(self.telemetry.iter().map(RunTelemetry::to_json).collect()),
             );
         o
-    }
-
-    /// Reconstructs a report from [`MatrixReport::to_json`] output.
-    /// Returns `None` on schema mismatch or missing fields.
-    #[must_use]
-    pub fn from_json(v: &Json) -> Option<MatrixReport> {
-        if v.get("schema")?.as_str()? != Self::SCHEMA
-            || v.get("version")?.as_u64()? != Self::VERSION
-        {
-            return None;
-        }
-        fn list<T>(v: &Json, key: &str, f: impl Fn(&Json) -> Option<T>) -> Option<Vec<T>> {
-            v.get(key)?.as_arr()?.iter().map(f).collect()
-        }
-        Some(MatrixReport {
-            jobs: v.get("jobs")?.as_u64()? as usize,
-            frontend_runs: v.get("frontend_runs")?.as_u64()?,
-            store_hits: v.get("store_hits")?.as_u64()?,
-            store_misses: v.get("store_misses")?.as_u64()?,
-            store_coalesced: v.get("store_coalesced")?.as_u64()?,
-            build_seconds: v.get("build_seconds")?.as_f64()?,
-            matrix_seconds: v.get("matrix_seconds")?.as_f64()?,
-            fig8: list(v, "fig8", fig8_from_json)?,
-            fig9: list(v, "fig9", speedup_from_json)?,
-            fig10: list(v, "fig10", speedup_from_json)?,
-            overheads: list(v, "overheads", overhead_from_json)?,
-            telemetry: list(v, "telemetry", RunTelemetry::from_json)?,
-        })
     }
 }
 
@@ -567,7 +463,7 @@ mod tests {
         let items = [0u8, 1u8];
         let out = parallel_map(&items, 2, |_| {
             started.fetch_add(1, Ordering::SeqCst);
-            let deadline = Instant::now() + Duration::from_secs(10);
+            let deadline = Instant::now() + std::time::Duration::from_secs(10);
             while started.load(Ordering::SeqCst) < 2 {
                 assert!(Instant::now() < deadline, "tasks did not overlap");
                 std::thread::yield_now();

@@ -1,6 +1,6 @@
-//! Workload-level wrapper over the unified [`Compiler`]
-//! (`crate::compiler`): one call builds a workload under all four
-//! regimes from a single frontend pass.
+//! Workload-level wrapper over the unified
+//! [`Compiler`](crate::compiler::Compiler): one call builds a workload
+//! under all four regimes from a single frontend pass.
 
 use crate::artifact::{build_suite_cached, StoreOutcome};
 use crate::compiler::{Error, Scheme, SuiteArtifacts};

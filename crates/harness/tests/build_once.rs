@@ -6,8 +6,8 @@
 //! 2. **Determinism**: the matrix rows are identical whatever the worker
 //!    count (the simulator is single-threaded per run; parallelism is
 //!    across runs only).
-//! 3. **Lossless JSON**: a real [`MatrixReport`] survives
-//!    `to_json` → `render` → `parse` → `from_json` field for field.
+//! 3. **Lossless JSON**: a real `MatrixReport`'s JSON value survives
+//!    `render` → `parse` unchanged.
 //! 4. **Sweeps re-partition one profile**: the cost-model ablation
 //!    advances the frontend counter by one per workload, not one per
 //!    sweep point.
@@ -17,7 +17,7 @@
 //! compiling sources in this process would skew the frontend counter.
 
 use fpa_harness::compiler::frontend_runs;
-use fpa_harness::engine::{ExperimentContext, MatrixReport};
+use fpa_harness::engine::ExperimentContext;
 use fpa_harness::json::Json;
 use fpa_partition::CostParams;
 
@@ -74,11 +74,6 @@ fn frontend_runs_once_per_workload_and_matrix_is_deterministic() {
     let text = json.render();
     let parsed = Json::parse(&text).expect("rendered JSON must parse");
     assert_eq!(parsed, json, "parse(render(j)) must equal j");
-    let rebuilt = MatrixReport::from_json(&parsed).expect("schema round-trip");
-    assert_eq!(
-        rebuilt, report_par,
-        "field-for-field equality after round-trip"
-    );
 
     // Sanity on content: every workload present, sensible counters.
     assert_eq!(report_par.fig9.len(), set.len());

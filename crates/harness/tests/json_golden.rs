@@ -1,9 +1,9 @@
-//! Golden-file round-trip for the machine-readable report format.
+//! Golden file for the machine-readable report format.
 //!
 //! The checked-in `tests/golden/matrix_report.json` pins the exact
 //! on-disk schema: rendering a known [`MatrixReport`] must reproduce the
-//! file byte for byte, and reading the file back must reproduce the
-//! report field for field. Regenerate with
+//! file byte for byte, and parsing the file must give back the rendered
+//! JSON value. Regenerate with
 //! `UPDATE_GOLDEN=1 cargo test -p fpa-harness --test json_golden`.
 
 use fpa_harness::compiler::StageTimings;
@@ -91,8 +91,8 @@ fn fixture() -> MatrixReport {
 
 #[test]
 fn matrix_report_matches_golden_file_bytes_and_fields() {
-    let report = fixture();
-    let rendered = report.to_json().render();
+    let json = fixture().to_json();
+    let rendered = json.render();
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/tests/golden/matrix_report.json"
@@ -104,11 +104,5 @@ fn matrix_report_matches_golden_file_bytes_and_fields() {
     assert_eq!(rendered, golden, "rendering drifted from the golden file");
 
     let parsed = Json::parse(&golden).expect("golden parses");
-    let rebuilt = MatrixReport::from_json(&parsed).expect("golden deserializes");
-    assert_eq!(
-        rebuilt, report,
-        "golden file does not reproduce the fixture"
-    );
-    // And the full cycle is a fixed point.
-    assert_eq!(rebuilt.to_json().render(), golden);
+    assert_eq!(parsed, json, "parse(render(j)) must equal j");
 }

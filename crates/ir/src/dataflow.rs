@@ -335,11 +335,6 @@ impl Liveness {
         self.live_out[b.index()].contains(v.index())
     }
 
-    /// The live-out set of `b` as register indices.
-    pub fn live_out_iter(&self, b: BlockId) -> impl Iterator<Item = VReg> + '_ {
-        self.live_out[b.index()].iter().map(|i| VReg::new(i as u32))
-    }
-
     /// Number of virtual registers in the analyzed function.
     #[must_use]
     pub fn num_vregs(&self) -> usize {

@@ -156,23 +156,6 @@ impl Inst {
         }
     }
 
-    /// Two-register conditional branch (`beq`/`bne`).
-    #[must_use]
-    pub fn branch2(op: Op, rs: Reg, rt: Reg, target: u32) -> Inst {
-        assert!(
-            matches!(op, Op::Beq | Op::Bne),
-            "{op} is not a two-register branch"
-        );
-        Inst {
-            op,
-            rd: None,
-            rs: Some(rs),
-            rt: Some(rt),
-            imm: 0,
-            target,
-        }
-    }
-
     /// Unconditional jump to an instruction index.
     #[must_use]
     pub fn jump(target: u32) -> Inst {

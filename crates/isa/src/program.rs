@@ -61,9 +61,6 @@ pub struct Program {
     /// Lowest address of the (downward-growing) stack region; the stack
     /// pointer is initialized to `stack_top`.
     pub stack_top: u32,
-    /// Map from instruction index to (function name, IR basic-block id) used
-    /// for basic-block profiling. Only block-leader PCs appear.
-    pub block_markers: BTreeMap<u32, (String, u32)>,
 }
 
 impl Program {

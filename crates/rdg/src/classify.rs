@@ -38,14 +38,6 @@ pub enum NodeClass {
     Free,
 }
 
-impl NodeClass {
-    /// Whether the partitioner may choose this node's side.
-    #[must_use]
-    pub fn is_free(self) -> bool {
-        matches!(self, NodeClass::Free)
-    }
-}
-
 /// Classifies every node of `rdg` (paper §4's constraints).
 #[must_use]
 pub fn classify(func: &Function, rdg: &Rdg) -> Vec<NodeClass> {

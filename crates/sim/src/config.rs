@@ -47,9 +47,9 @@ pub struct MachineConfig {
     /// Maximum in-flight instructions (reorder-buffer size).
     ///
     /// The wakeup-driven fast path in `crate::ooo` tracks readiness and
-    /// unissued-store barriers as 128-bit masks over the ROB window, so
-    /// it handles `max_inflight <= 128` (both Table 1 machines are far
-    /// below this). Larger windows are still simulated correctly — they
+    /// unissued-store barriers as 64-bit masks over the ROB window, so
+    /// it handles `max_inflight <= 64` (the two Table 1 machines use 32
+    /// and 64). Larger windows are still simulated correctly — they
     /// transparently fall back to the reference rescan engine.
     pub max_inflight: u32,
     /// Integer functional units.

@@ -100,10 +100,6 @@ pub(crate) struct PreInst {
 #[derive(Debug)]
 pub struct PreProgram {
     pub(crate) pre: Vec<PreInst>,
-    /// Block markers as a dense sorted list (pc, function, block id) —
-    /// the functional fast path derives per-block counts from a flat
-    /// visit-count array instead of a per-instruction map lookup.
-    pub(crate) markers: Vec<(u32, String, u32)>,
 }
 
 /// Prepares `program` for direct-threaded simulation.
@@ -118,16 +114,11 @@ pub(crate) fn prepare(program: &Program) -> PreProgram {
             d: DecodedInst::decode(inst.op, inst),
         })
         .collect();
-    let markers = program
-        .block_markers
-        .iter()
-        .map(|(&pc, (func, block))| (pc, func.clone(), *block))
-        .collect();
-    PreProgram { pre, markers }
+    PreProgram { pre }
 }
 
 /// Content hash of everything [`prepare`] reads from a program: the
-/// instruction stream and the block markers. 128 bits via two
+/// instruction stream. 128 bits via two
 /// independently-seeded FNV-1a accumulators, so the prepared-program
 /// cache can key on content without ever comparing programs.
 #[must_use]
@@ -140,14 +131,6 @@ pub(crate) fn hash_program(program: &Program) -> u128 {
         h.write(reg_code(inst.rt));
         h.write(inst.imm as u32 as u64);
         h.write(u64::from(inst.target));
-    }
-    for (pc, (func, block)) in &program.block_markers {
-        h.write(u64::from(*pc));
-        h.write(func.len() as u64);
-        for byte in func.as_bytes() {
-            h.write(u64::from(*byte));
-        }
-        h.write(u64::from(*block));
     }
     h.finish()
 }
@@ -657,9 +640,6 @@ mod tests {
         p2.code = vec![Inst::li(Op::Li, IntReg::new(8).into(), 1)];
         assert_eq!(hash_program(&p1), hash_program(&p2));
         p2.code[0].imm = 2;
-        assert_ne!(hash_program(&p1), hash_program(&p2));
-        p2.code[0].imm = 1;
-        p2.block_markers.insert(0, ("main".into(), 0));
         assert_ne!(hash_program(&p1), hash_program(&p2));
     }
 }

@@ -3,13 +3,10 @@
 //! Runs a program to completion, producing observable output plus the
 //! dynamic-instruction accounting behind Figure 8: how many retired
 //! instructions belong to each subsystem, how many are the paper's new
-//! `*A` opcodes, and how many are inter-file copies. Also collects
-//! per-basic-block execution counts through the program's block markers,
-//! which feed the advanced scheme's cost model.
+//! `*A` opcodes, and how many are inter-file copies.
 
 use crate::exec::ExecError;
 use fpa_isa::Program;
-use std::collections::HashMap;
 
 /// The result of a functional run. The final memory image stays in the
 /// session that ran it: see [`crate::SimSession::memory`].
@@ -32,8 +29,6 @@ pub struct FuncSimResult {
     pub loads: u64,
     /// Dynamic stores.
     pub stores: u64,
-    /// Executions per `(function, ir block)` marker.
-    pub block_counts: HashMap<(String, u32), u64>,
 }
 
 impl FuncSimResult {

@@ -11,10 +11,11 @@
 //!   register renaming, and in-order retirement. Conventional and
 //!   augmented machines differ only in whether the FP subsystem accepts
 //!   the `*A` opcodes. Internally it runs a wakeup-driven fast path
-//!   (pre-decode, ready queues, indexed store forwarding, cycle
-//!   skipping).
-//! * [`reference`] — the original full-window-rescan timing engine,
-//!   frozen as the behavioural spec the fast path is proven against.
+//!   (pre-decode, ready and store-barrier bitmasks, store-queue
+//!   forwarding, cycle skipping).
+//! * [`reference`](mod@reference) — the original full-window-rescan
+//!   timing engine, frozen as the behavioural spec the fast path is
+//!   proven against.
 //! * [`config`] — machine parameter presets (4-way and 8-way, Table 1).
 //! * [`cache`] / [`predictor`] — the memory-hierarchy and branch-predictor
 //!   substrates.

@@ -28,17 +28,18 @@
 //! rather than the textbook full-window rescan (which survives, frozen,
 //! in [`crate::reference`] as the behavioural spec):
 //!
-//! * the static program is **pre-decoded** once into a [`DecodedInst`]
+//! * the static program is **pre-decoded** once into a `DecodedInst`
 //!   table, so per-fetch work is table lookups instead of `Vec`-returning
 //!   operand queries;
 //! * every window entry carries an **outstanding-source counter**;
 //!   completions are bucketed by `done_at` and, when a bucket drains,
-//!   push their dependents onto an ordered ready set — the issue stage
-//!   walks only ready candidates in program order, preserving the
-//!   oldest-first select and the store-barrier rule via an ordered
-//!   `unissued_stores` set;
-//! * store-to-load forwarding walks the in-flight store queue
-//!   ([`StoreIndex`]) backwards — never longer than the in-flight
+//!   wake their dependents into a **ready bitmask** over ROB-relative
+//!   positions — the issue stage walks its set bits oldest first, and
+//!   the store-barrier rule is one mask-and against an **unissued-store
+//!   bitmask**; both are `u64`s, so a reorder buffer wider than 64
+//!   entries runs on the reference engine instead;
+//! * store-to-load forwarding scans the seq-ordered in-flight store
+//!   queue (`StoreIndex`) backwards — never longer than the in-flight
 //!   window, so a contiguous scan beats any indexed structure;
 //! * when a cycle can provably do nothing — no completion due, head not
 //!   retirable, ready set and fetch queue empty, fetch stalled or
@@ -515,7 +516,8 @@ pub fn simulate(
 /// [`TimingResult`] is identical to an unobserved run.
 ///
 /// The observer is a generic parameter (not a trait object) so the
-/// unobserved entry point monomorphizes against [`NullObserver`] and the
+/// unobserved entry point monomorphizes against
+/// [`NullObserver`](crate::observe::NullObserver) and the
 /// compiler deletes every event construction from the hot loop.
 ///
 /// # Errors
@@ -549,53 +551,6 @@ pub fn simulate_with_faults<O: SimObserver>(
     })
 }
 
-/// Bitmask over ROB-relative positions, abstracting the mask width so the
-/// engine can run on `u64` masks (single-uop shifts) whenever the window
-/// fits. Both Table 1 machines (32- and 64-entry windows) do; only a
-/// hypothetical wider configuration pays for `u128` arithmetic.
-trait RobMask:
-    Copy
-    + PartialEq
-    + std::ops::BitOr<Output = Self>
-    + std::ops::BitOrAssign
-    + std::ops::BitAnd<Output = Self>
-    + std::ops::BitAndAssign
-    + std::ops::Not<Output = Self>
-    + std::ops::ShrAssign<u32>
-    + std::ops::Sub<Output = Self>
-{
-    const ZERO: Self;
-    const ONE: Self;
-    fn bit(i: u32) -> Self;
-    fn trailing_zeros(self) -> u32;
-}
-
-impl RobMask for u64 {
-    const ZERO: Self = 0;
-    const ONE: Self = 1;
-    #[inline(always)]
-    fn bit(i: u32) -> Self {
-        1 << i
-    }
-    #[inline(always)]
-    fn trailing_zeros(self) -> u32 {
-        u64::trailing_zeros(self)
-    }
-}
-
-impl RobMask for u128 {
-    const ZERO: Self = 0;
-    const ONE: Self = 1;
-    #[inline(always)]
-    fn bit(i: u32) -> Self {
-        1 << i
-    }
-    #[inline(always)]
-    fn trailing_zeros(self) -> u32 {
-        u128::trailing_zeros(self)
-    }
-}
-
 pub(crate) fn simulate_core<O: SimObserver>(
     program: &Program,
     pre: &PreProgram,
@@ -611,22 +566,18 @@ pub(crate) fn simulate_core<O: SimObserver>(
         // and wakeup bookkeeping by design).
         return crate::reference::simulate_naive(program, config, max_cycles, obs, faults);
     }
-    if config.max_inflight > 128 {
-        // The ready and store-barrier sets are bitmasks over the ROB
-        // window. Neither of the paper's machines (32- and 64-entry ROBs)
-        // comes close; a hypothetical wider configuration runs on the
-        // reference engine, which has no window bound.
+    if config.max_inflight > 64 {
+        // The ready and store-barrier sets are `u64` bitmasks over the ROB
+        // window, which both of the paper's machines (32- and 64-entry
+        // ROBs) fit; a wider configuration runs on the reference engine,
+        // which has no window bound.
         return crate::reference::simulate_naive(program, config, max_cycles, obs, faults);
     }
-    if config.max_inflight <= 64 {
-        simulate_masked::<O, u64>(program, pre, config, max_cycles, obs, bufs)
-    } else {
-        simulate_masked::<O, u128>(program, pre, config, max_cycles, obs, bufs)
-    }
+    simulate_masked(program, pre, config, max_cycles, obs, bufs)
 }
 
 #[allow(clippy::too_many_lines)]
-fn simulate_masked<O: SimObserver, M: RobMask>(
+fn simulate_masked<O: SimObserver>(
     program: &Program,
     pre: &PreProgram,
     config: &MachineConfig,
@@ -700,12 +651,12 @@ fn simulate_masked<O: SimObserver, M: RobMask>(
     // bitmask over ROB-relative positions: the load barrier ("all prior
     // store addresses known") is one mask-and against the bits below the
     // load instead of a flag threaded through a full-window scan.
-    let mut unissued_st = M::ZERO;
+    let mut unissued_st = 0u64;
     // Unissued ROB entries whose sources are all complete, same relative
     // encoding: the issue stage's candidate set, replacing the full-ROB
     // scan with a trailing_zeros walk (ascending = oldest first). Both
     // masks shift right by one per retirement as the window slides.
-    let mut ready = M::ZERO;
+    let mut ready = 0u64;
 
     let mut retired = 0u64;
     let mut int_issued = 0u64;
@@ -733,7 +684,7 @@ fn simulate_masked<O: SimObserver, M: RobMask>(
         // completion, or fetch resuming). Fetch activity always blocks the
         // skip: a non-stalled fetch stage touches the I-cache every cycle,
         // even when the fetch queue is full.
-        if ready == M::ZERO
+        if ready == 0
             && fq_len == 0
             && !completions.any_due(cycle)
             && (fetch_halted || cycle < fetch_stall_until)
@@ -778,7 +729,7 @@ fn simulate_masked<O: SimObserver, M: RobMask>(
                 let e = &mut slab[slot(w)];
                 e.pending -= 1;
                 if e.pending == 0 && w < rob_end {
-                    ready |= M::bit((w - retired) as u32);
+                    ready |= 1 << (w - retired);
                 }
             }
             // Hand the (cleared) vector straight back to its slot: the
@@ -800,7 +751,7 @@ fn simulate_masked<O: SimObserver, M: RobMask>(
             rob_len -= 1;
             // The head is issued, so its ready and store-barrier bits are
             // already clear: the masks just slide down with the window.
-            debug_assert!(ready & M::ONE == M::ZERO && unissued_st & M::ONE == M::ZERO);
+            debug_assert!(ready & 1 == 0 && unissued_st & 1 == 0);
             ready >>= 1;
             unissued_st >>= 1;
             if e.d.is_augmented {
@@ -865,14 +816,14 @@ fn simulate_masked<O: SimObserver, M: RobMask>(
         let mut int_issued_now = 0u64;
         let mut fp_issued_now = 0u64;
         decisions.clear();
-        if ready != M::ZERO {
+        if ready != 0 {
             // Snapshot the candidate mask; decisions this cycle do not add
             // candidates (but an issuing store does lift the barrier for
             // loads later in the same walk, exactly like the reference).
             let mut cand = ready;
-            while cand != M::ZERO && issued_total < issue_width {
+            while cand != 0 && issued_total < issue_width {
                 let rel = cand.trailing_zeros();
-                cand &= cand - M::ONE;
+                cand &= cand - 1;
                 let seq = retired + u64::from(rel);
                 let e = &slab[slot(seq)];
                 let d = &e.d;
@@ -881,7 +832,7 @@ fn simulate_masked<O: SimObserver, M: RobMask>(
                     if ls == 0 {
                         continue; // an unissued store here still bars loads
                     }
-                    if d.is_load && unissued_st & (M::bit(rel) - M::ONE) != M::ZERO {
+                    if d.is_load && unissued_st & ((1 << rel) - 1) != 0 {
                         continue; // prior store address unknown
                     }
                 } else {
@@ -929,7 +880,7 @@ fn simulate_masked<O: SimObserver, M: RobMask>(
                     }
                 }
                 if d.is_store {
-                    unissued_st &= !M::bit(rel);
+                    unissued_st &= !(1 << rel);
                 }
                 issued_total += 1;
                 decisions.push((seq, cycle + u64::from(lat)));
@@ -967,7 +918,7 @@ fn simulate_masked<O: SimObserver, M: RobMask>(
                 } else {
                     fp_window_used -= 1;
                 }
-                ready &= !M::bit((seq - retired) as u32);
+                ready &= !(1 << (seq - retired));
             }
         }
         int_issued += int_issued_now;
@@ -1008,7 +959,7 @@ fn simulate_masked<O: SimObserver, M: RobMask>(
             }
             if e.d.is_store {
                 stores.insert(e.seq, e.addr.expect("store addr"), e.d.mem_bytes);
-                unissued_st |= M::bit(rob_len as u32);
+                unissued_st |= 1 << rob_len;
             }
             obs.on_dispatch(&DispatchEvent {
                 cycle,
@@ -1024,7 +975,7 @@ fn simulate_masked<O: SimObserver, M: RobMask>(
             // The entry becomes an issue candidate the moment it sits in
             // the ROB with no outstanding sources.
             if e.pending == 0 {
-                ready |= M::bit(rob_len as u32);
+                ready |= 1 << rob_len;
             }
             rob_len += 1;
             fq_len -= 1;
@@ -1514,8 +1465,8 @@ mod tests {
 
     #[test]
     fn fast_path_matches_reference_on_byte_overlap_stores() {
-        // Sub-word stores around word boundaries exercise the word-bucket
-        // forwarding index against the reference's byte-precise scan:
+        // Sub-word stores around word boundaries exercise the store
+        // queue's byte-range forwarding against the reference's scan:
         // same-word-no-overlap, cross-word, and exact-overlap cases.
         let mut p = Program::new();
         p.stack_top = 0x1_0000;

@@ -6,7 +6,7 @@
 //! borrows, cache tag arrays, branch-predictor counters, the in-flight
 //! entry slab with its waiter vectors, the completion heap, the store
 //! index, and a content-addressed cache of prepared programs (see
-//! [`crate::dispatch`]). Running many cells through one session costs
+//! `crate::dispatch`). Running many cells through one session costs
 //! zero steady-state allocation and decodes each distinct program once,
 //! no matter how many schemes, machine widths, or sweep points run it.
 //!
@@ -155,9 +155,9 @@ impl SimSession {
     }
 
     /// Session-backed [`crate::run_functional`]: the direct-threaded
-    /// fast path over the prepared program, with the instruction-mix and
-    /// per-block counters derived from a flat visit-count array after
-    /// the run instead of per-instruction bookkeeping.
+    /// fast path over the prepared program, with the instruction-mix
+    /// counters derived from a flat visit-count array after the run
+    /// instead of per-instruction bookkeeping.
     ///
     /// # Errors
     ///
@@ -203,13 +203,6 @@ impl SimSession {
                 stores += count;
             }
         }
-        let mut block_counts = HashMap::new();
-        for (pc, func, block) in &pre.markers {
-            let count = counts.get(*pc as usize).copied().unwrap_or(0);
-            if count > 0 {
-                *block_counts.entry((func.clone(), *block)).or_insert(0) += count;
-            }
-        }
         Ok(FuncSimResult {
             exit_code,
             output: std::mem::take(&mut self.bufs.machine.output),
@@ -219,7 +212,6 @@ impl SimSession {
             copies,
             loads,
             stores,
-            block_counts,
         })
     }
 
@@ -310,7 +302,6 @@ mod tests {
                 target: 0,
             },
         ];
-        p.block_markers.insert(1, ("main".into(), 0));
         p
     }
 
@@ -470,7 +461,6 @@ mod tests {
         assert_eq!(r.exit_code, 7);
         // 1 li + 10 × (addi, bnez) + li + halt.
         assert_eq!(r.total, 23);
-        assert_eq!(r.block_counts[&("main".to_string(), 0)], 10);
     }
 
     #[test]
