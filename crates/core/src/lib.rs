@@ -65,7 +65,7 @@ pub use fpa_sim as sim;
 pub use fpa_workloads as workloads;
 
 pub use fpa_harness::cell::{
-    run_cells, CellId, CellMode, CellPayload, CellResult, CellSource, CellSpec, WidthPreset,
+    run_cells, CellId, CellMode, CellPayload, CellResult, CellSpec, WidthPreset,
 };
 pub use fpa_harness::compiler::{frontend_runs, Artifacts, Compiler, Error, Scheme, StageTimings};
 pub use fpa_harness::engine::{ExperimentContext, MatrixReport, RunTelemetry};

@@ -118,7 +118,7 @@ pub fn lower(prog: &Program) -> Result<Module, LowerError> {
             return err(g.pos, format!("duplicate global `{}`", g.name));
         }
         let (size, init) = encode_global(g)?;
-        let idx = module.add_global(g.name.clone(), size, init);
+        let idx = add_global(&mut module, g.name.clone(), size, init, g.pos)?;
         globals.insert(g.name.clone(), (idx, g.kind.clone()));
     }
 
@@ -148,6 +148,37 @@ pub fn lower(prog: &Program) -> Result<Module, LowerError> {
     Ok(module)
 }
 
+/// Adds a global of `size` bytes, rejecting any whose layout (8-byte
+/// aligned after every earlier global, as [`Module::assign_addresses`]
+/// places it) would end past [`Module::DATA_END`]. Sizes are `u64`, so
+/// an array's element count times its element size cannot wrap.
+fn add_global(
+    module: &mut Module,
+    name: String,
+    size: u64,
+    init: Vec<u8>,
+    pos: Pos,
+) -> Result<u32, LowerError> {
+    let end = module
+        .globals
+        .iter()
+        .map(|g| u64::from(g.size))
+        .chain([size])
+        .fold(u64::from(Module::DATA_BASE), |end, size| {
+            end.next_multiple_of(8) + size
+        });
+    match u32::try_from(size) {
+        Ok(size) if end <= u64::from(Module::DATA_END) => Ok(module.add_global(name, size, init)),
+        _ => err(
+            pos,
+            format!(
+                "`{name}` ends at {end:#x}, past the end of memory at {:#x}",
+                Module::DATA_END
+            ),
+        ),
+    }
+}
+
 fn scalar_to_ty(s: ScalarTy) -> Ty {
     match s {
         ScalarTy::Int => Ty::Int,
@@ -163,7 +194,7 @@ fn elem_width(e: ElemTy) -> MemWidth {
     }
 }
 
-fn encode_global(g: &GlobalDecl) -> Result<(u32, Vec<u8>), LowerError> {
+fn encode_global(g: &GlobalDecl) -> Result<(u64, Vec<u8>), LowerError> {
     let mut bytes = Vec::new();
     let push =
         |bytes: &mut Vec<u8>, elem: ElemTy, v: &InitVal, pos: Pos| -> Result<(), LowerError> {
@@ -195,7 +226,7 @@ fn encode_global(g: &GlobalDecl) -> Result<(u32, Vec<u8>), LowerError> {
             for v in &g.init {
                 push(&mut bytes, elem, v, g.pos)?;
             }
-            Ok((elem.size(), bytes))
+            Ok((u64::from(elem.size()), bytes))
         }
         DeclKind::Array(elem, len) => {
             if g.init.len() as u32 > *len {
@@ -204,7 +235,7 @@ fn encode_global(g: &GlobalDecl) -> Result<(u32, Vec<u8>), LowerError> {
             for v in &g.init {
                 push(&mut bytes, *elem, v, g.pos)?;
             }
-            Ok((elem.size() * len, bytes))
+            Ok((u64::from(elem.size()) * u64::from(*len), bytes))
         }
     }
 }
@@ -305,7 +336,8 @@ impl<'a> FuncLower<'a> {
                         return err(l.pos, "array locals cannot have initializers");
                     }
                     let gname = format!("{}.{}", self.def.name, l.name);
-                    let idx = self.module.add_global(gname, e.size() * len, Vec::new());
+                    let size = u64::from(e.size()) * u64::from(*len);
+                    let idx = add_global(self.module, gname, size, Vec::new(), l.pos)?;
                     self.syms.insert(l.name.clone(), Sym::GlobalArray(idx, *e));
                 }
             }

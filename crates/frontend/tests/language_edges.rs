@@ -249,6 +249,31 @@ fn error_messages_are_precise() {
 }
 
 #[test]
+fn data_must_fit_below_the_stack() {
+    // 16 MB of globals; 4 * 2^30 bytes, which wraps to 0 in 32 bits; and
+    // a 4 GB data segment. A local array is a global too.
+    fails_with(
+        "int a[4000000]; int main() { a[3999999] = 1; return a[3999999]; }",
+        "`a` ends at 0xf43400, past the end of memory at 0x800000",
+    );
+    fails_with(
+        "int a[1073741824]; int main() { a[1] = 1; return a[1]; }",
+        "`a` ends at 0x100001000",
+    );
+    fails_with(
+        "int a[1000000000]; int main() { a[1] = 1; return a[1]; }",
+        "`a` ends at 0xee6b3800",
+    );
+    fails_with(
+        "int a[2096120]; int main() { byte b[33]; b[0] = 1; return b[0]; }",
+        "`main.b` ends at 0x800001",
+    );
+    // Data that ends exactly at the stack top fits.
+    let (_, code) = run("int a[2096120]; int main() { byte b[32]; b[31] = 3; return b[31]; }");
+    assert_eq!(code, 3);
+}
+
+#[test]
 fn parse_errors_carry_positions() {
     let e = compile("int main() {\n  int x = ;\n}").unwrap_err();
     assert!(e.to_string().contains("2:"), "line missing from: {e}");

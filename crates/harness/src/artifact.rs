@@ -11,9 +11,10 @@
 //!
 //! 1. a format tag (`"fpa-artifact-v1"`),
 //! 2. the **compiler fingerprint** — a hash over the full source text of
-//!    every frontend/IR/partition/codegen file (embedded at build time
-//!    with `include_str!`), so editing any compiler stage invalidates
-//!    the whole store rather than serving stale artifacts,
+//!    every frontend/IR/partition/codegen file and of the payload codec
+//!    (embedded at build time with `include_str!`), so editing any
+//!    compiler stage or the codec invalidates the whole store rather
+//!    than serving stale artifacts,
 //! 3. the artifact kind (`"suite"`),
 //! 4. the *canonical* workload source (`\r\n` normalized to `\n` — the
 //!    parser treats both the same, so they must key the same), and
@@ -48,7 +49,9 @@ use std::time::Duration;
 /// Every compiler-stage source file, embedded so the fingerprint tracks
 /// the code actually compiled into this binary. The harness's own
 /// compile driver is included too: it decides pass order and what goes
-/// into the bundle.
+/// into the bundle. So is the payload codec (this file and
+/// `fpa_store::codec`): a codec edit that keeps every field's type would
+/// otherwise decode old entries into wrong values.
 const COMPILER_SOURCES: &[&str] = &[
     include_str!("../../frontend/src/ast.rs"),
     include_str!("../../frontend/src/lib.rs"),
@@ -96,6 +99,8 @@ const COMPILER_SOURCES: &[&str] = &[
     include_str!("../../codegen/src/peephole.rs"),
     include_str!("../../codegen/src/regalloc.rs"),
     include_str!("compiler.rs"),
+    include_str!("artifact.rs"),
+    include_str!("../../store/src/codec.rs"),
 ];
 
 /// Hash of the whole compiler's source, computed once per process.
@@ -959,18 +964,6 @@ impl ArtifactStore {
         })
     }
 
-    /// Opens a disk-backed store with an explicit memory budget
-    /// (`0` disables the memory tier).
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-creation failures.
-    pub fn open_with(dir: impl AsRef<Path>, mem_budget: usize) -> io::Result<ArtifactStore> {
-        Ok(ArtifactStore {
-            store: Store::open_with(dir, mem_budget)?,
-        })
-    }
-
     /// A purely in-memory artifact store (no persistence) with the
     /// default budget.
     #[must_use]
@@ -1163,6 +1156,16 @@ mod tests {
         assert_ne!(k1, suite_key(SRC, &p3));
         let crlf = SRC.replace('\n', "\r\n");
         assert_eq!(k1, suite_key(&crlf, &p));
+    }
+
+    #[test]
+    fn fingerprint_covers_the_payload_codec() {
+        for codec in [
+            include_str!("artifact.rs"),
+            include_str!("../../store/src/codec.rs"),
+        ] {
+            assert!(COMPILER_SOURCES.contains(&codec));
+        }
     }
 
     #[test]

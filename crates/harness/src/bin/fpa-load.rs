@@ -136,7 +136,7 @@ fn build_requests(sources: &[String], n: usize, dup: f64, seed: u64) -> Vec<Json
         picked.push(src_idx);
         let mut r = Json::obj();
         r.set("id", k).set("source", sources[src_idx].as_str());
-        // 3:1 compile-heavy mix; runs keep the batching path busy.
+        // 3:1 compile-heavy mix; runs keep the simulator busy.
         if next() % 4 == 3 {
             r.set("op", "run").set("scheme", "advanced");
         } else {

@@ -178,12 +178,17 @@ fn main() {
     }
 }
 
-/// Builds `set` once and runs its figure matrix; exits 1 on failure.
-fn build_matrix(set: &[fpa_workloads::Workload], jobs: usize) -> (ExperimentContext, MatrixReport) {
-    let ctx = ExperimentContext::new(set, &CostParams::default(), jobs).unwrap_or_else(|e| {
+/// Builds `set` once; exits 1 if any workload fails.
+fn context(set: &[fpa_workloads::Workload], jobs: usize) -> ExperimentContext {
+    ExperimentContext::new(set, &CostParams::default(), jobs).unwrap_or_else(|e| {
         eprintln!("pipeline failed: {e}");
         std::process::exit(1);
-    });
+    })
+}
+
+/// Builds `set` once and runs its figure matrix; exits 1 on failure.
+fn build_matrix(set: &[fpa_workloads::Workload], jobs: usize) -> (ExperimentContext, MatrixReport) {
+    let ctx = context(set, jobs);
     eprintln!("running the experiment matrix (4-way and 8-way machines)...");
     let m = ctx.matrix().unwrap_or_else(|e| {
         eprintln!("simulation failed: {e}");
@@ -192,12 +197,20 @@ fn build_matrix(set: &[fpa_workloads::Workload], jobs: usize) -> (ExperimentCont
     (ctx, m)
 }
 
-/// The `--check` mode: builds the (optionally filtered) workload set and
-/// sweeps every cell under lockstep co-simulation. Exits 0 when clean,
-/// 1 on any violation.
-fn run_check(filter: Option<&[String]>, jobs: usize, what: Option<&str>) -> ! {
+/// The set-up `--check` and `--lint` share: refuses a figure target,
+/// resolves `--workloads` (default: every integer workload), announces
+/// the sweep (`verb`, then the `cells` each workload expands to) and
+/// builds the set.
+fn sweep_context(
+    flag: &str,
+    verb: &str,
+    cells: &str,
+    filter: Option<&[String]>,
+    jobs: usize,
+    what: Option<&str>,
+) -> ExperimentContext {
     if what.is_some() {
-        eprintln!("fpa-report: --check does not take a figure target");
+        eprintln!("fpa-report: {flag} does not take a figure target");
         usage();
     }
     let set: Vec<fpa_workloads::Workload> = match filter {
@@ -213,13 +226,24 @@ fn run_check(filter: Option<&[String]>, jobs: usize, what: Option<&str>) -> ! {
             .collect(),
     };
     eprintln!(
-        "co-simulating {} workload(s) x 4 schemes x 2 machines, {jobs} worker(s)...",
+        "{verb} {} workload(s) x {cells}, {jobs} worker(s)...",
         set.len()
     );
-    let ctx = ExperimentContext::new(&set, &CostParams::default(), jobs).unwrap_or_else(|e| {
-        eprintln!("pipeline failed: {e}");
-        std::process::exit(1);
-    });
+    context(&set, jobs)
+}
+
+/// The `--check` mode: builds the (optionally filtered) workload set and
+/// sweeps every cell under lockstep co-simulation. Exits 0 when clean,
+/// 1 on any violation.
+fn run_check(filter: Option<&[String]>, jobs: usize, what: Option<&str>) -> ! {
+    let ctx = sweep_context(
+        "--check",
+        "co-simulating",
+        "4 schemes x 2 machines",
+        filter,
+        jobs,
+        what,
+    );
     let rows = fpa_harness::check_matrix(&ctx).unwrap_or_else(|e| {
         eprintln!("simulation failed: {e}");
         std::process::exit(1);
@@ -238,30 +262,7 @@ fn run_check(filter: Option<&[String]>, jobs: usize, what: Option<&str>) -> ! {
 /// statically verifies every scheme binary against its IR module and
 /// partition assignment. Exits 0 when clean, 1 on any finding.
 fn run_lint(filter: Option<&[String]>, jobs: usize, what: Option<&str>) -> ! {
-    if what.is_some() {
-        eprintln!("fpa-report: --lint does not take a figure target");
-        usage();
-    }
-    let set: Vec<fpa_workloads::Workload> = match filter {
-        None => fpa_workloads::integer(),
-        Some(names) => names
-            .iter()
-            .map(|n| {
-                fpa_workloads::by_name(n).unwrap_or_else(|| {
-                    eprintln!("fpa-report: unknown workload '{n}'");
-                    usage()
-                })
-            })
-            .collect(),
-    };
-    eprintln!(
-        "linting {} workload(s) x 4 schemes, {jobs} worker(s)...",
-        set.len()
-    );
-    let ctx = ExperimentContext::new(&set, &CostParams::default(), jobs).unwrap_or_else(|e| {
-        eprintln!("pipeline failed: {e}");
-        std::process::exit(1);
-    });
+    let ctx = sweep_context("--lint", "linting", "4 schemes", filter, jobs, what);
     let rows = fpa_harness::lint_matrix(&ctx);
     print!("{}", report::lint(&rows));
     let dirty: usize = rows.iter().map(|r| r.findings.len()).sum();

@@ -1,14 +1,15 @@
-//! `fpa-serve` — the batching compile-and-simulate daemon.
+//! `fpa-serve` — the compile-and-simulate daemon.
 //!
 //! Speaks the line-delimited JSON protocol of
 //! [`fpa_harness::serve`](mod@fpa_harness::serve)
-//! over TCP. With `--store`, compiles go through the persistent
-//! content-addressed artifact store, so repeat sources across requests
-//! and connections are answered from cache and concurrent duplicates
-//! coalesce into a single compile.
+//! over TCP. Each worker thread answers one request at a time. With
+//! `--store`, compiles go through the persistent content-addressed
+//! artifact store, so repeat sources across requests and connections are
+//! answered from cache and concurrent duplicates coalesce into a single
+//! compile.
 //!
 //! ```text
-//! fpa-serve [--addr HOST:PORT] [--workers N] [--max-batch N] [--store DIR]
+//! fpa-serve [--addr HOST:PORT] [--workers N] [--store DIR]
 //! ```
 
 use std::net::TcpListener;
@@ -17,13 +18,12 @@ use std::sync::Arc;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fpa-serve [--addr HOST:PORT] [--workers N] [--max-batch N] [--store DIR]\n\
+        "usage: fpa-serve [--addr HOST:PORT] [--workers N] [--store DIR]\n\
          \n\
          \x20 --addr HOST:PORT  listen address (default 127.0.0.1:7421)\n\
-         \x20 --workers N       batch worker threads (default: available parallelism)\n\
-         \x20 --max-batch N     max requests folded into one simulation batch (default {})\n\
-         \x20 --store DIR       persistent artifact store for compile caching",
-        fpa_harness::serve::MAX_BATCH
+         \x20 --workers N       worker threads, each answering one request at a time\n\
+         \x20                   (default: available parallelism)\n\
+         \x20 --store DIR       persistent artifact store for compile caching"
     );
     std::process::exit(2);
 }
@@ -36,7 +36,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut addr = "127.0.0.1:7421".to_string();
     let mut workers = default_workers();
-    let mut max_batch = fpa_harness::serve::MAX_BATCH;
     let mut store_dir: Option<String> = None;
     fn value(args: &[String], i: &mut usize) -> String {
         *i += 1;
@@ -47,7 +46,6 @@ fn main() -> ExitCode {
         match args[i].as_str() {
             "--addr" => addr = value(&args, &mut i),
             "--workers" => workers = value(&args, &mut i).parse().unwrap_or_else(|_| usage()),
-            "--max-batch" => max_batch = value(&args, &mut i).parse().unwrap_or_else(|_| usage()),
             "--store" => store_dir = Some(value(&args, &mut i)),
             _ => usage(),
         }
@@ -78,7 +76,7 @@ fn main() -> ExitCode {
         Err(_) => eprintln!("fpa-serve: listening on {addr}"),
     }
 
-    if let Err(e) = fpa_harness::serve::serve(&listener, workers, max_batch) {
+    if let Err(e) = fpa_harness::serve::serve(&listener, workers, fpa_harness::serve::MAX_BATCH) {
         eprintln!("fpa-serve: accept failed: {e}");
         return ExitCode::from(1);
     }

@@ -23,7 +23,6 @@ use crate::compiler::Scheme;
 use crate::engine::parallel_map;
 use crate::json::Json;
 use crate::pipeline::CompiledWorkload;
-use fpa_isa::Program;
 use fpa_sim::{CosimReport, EventCounters, ExecError, FuncSimResult, MachineConfig, TimingResult};
 use std::fmt;
 use std::time::Instant;
@@ -273,7 +272,7 @@ pub struct CellResult {
 /// fault inside one cell.
 #[derive(Debug)]
 pub enum CellError {
-    /// No program for this id in the batch's [`CellSource`].
+    /// No workload of this name among the batch's compiled workloads.
     UnknownCell(CellId),
     /// The simulation itself failed.
     Exec {
@@ -315,25 +314,11 @@ impl std::error::Error for CellError {
     }
 }
 
-/// Resolves a [`CellId`] to the program it names. Implemented for the
-/// experiment engine's compiled workloads, which the fuzz oracle also
-/// uses for a generated program's four builds; the serving daemon
-/// supplies its own source over one batch's compiled requests.
-pub trait CellSource: Sync {
-    /// The program `id` names, or `None` if unknown.
-    fn resolve(&self, id: &CellId) -> Option<&Program>;
-}
-
-impl CellSource for [CompiledWorkload] {
-    fn resolve(&self, id: &CellId) -> Option<&Program> {
-        let c = self.iter().find(|c| c.name == id.workload)?;
-        Some(c.suite.program(id.scheme))
-    }
-}
-
-fn run_cell<S: CellSource + ?Sized>(source: &S, spec: &CellSpec) -> Result<CellResult, CellError> {
-    let program = source
-        .resolve(&spec.id)
+fn run_cell(compiled: &[CompiledWorkload], spec: &CellSpec) -> Result<CellResult, CellError> {
+    let program = compiled
+        .iter()
+        .find(|c| c.name == spec.id.workload)
+        .map(|c| c.suite.program(spec.id.scheme))
         .ok_or_else(|| CellError::UnknownCell(spec.id.clone()))?;
     let t = Instant::now();
     let run = match spec.mode {
@@ -360,22 +345,23 @@ fn run_cell<S: CellSource + ?Sized>(source: &S, spec: &CellSpec) -> Result<CellR
     })
 }
 
-/// Runs a batch of cells, fanning them across `jobs` worker threads
-/// (inline on the caller's thread for `jobs <= 1`). Results come back in
-/// spec order, and their *values* are identical for any `jobs` — each
-/// simulation is single-threaded and deterministic, and the per-thread
+/// Runs a batch of cells on the `compiled` workloads their ids name,
+/// fanning them across `jobs` worker threads (inline on the caller's
+/// thread for `jobs <= 1`). Results come back in spec order, and their
+/// *values* are identical for any `jobs` — each simulation is
+/// single-threaded and deterministic, and the per-thread
 /// [`fpa_sim::SimSession`] reuses only allocations, never state.
 ///
 /// # Errors
 ///
 /// Returns the first [`CellError`] in spec order. Cells after a failing
 /// one may or may not have run; their results are discarded.
-pub fn run_cells<S: CellSource + ?Sized>(
-    source: &S,
+pub fn run_cells(
+    compiled: &[CompiledWorkload],
     specs: &[CellSpec],
     jobs: usize,
 ) -> Result<Vec<CellResult>, CellError> {
-    parallel_map(specs, jobs, |spec| run_cell(source, spec))
+    parallel_map(specs, jobs, |spec| run_cell(compiled, spec))
         .into_iter()
         .collect()
 }

@@ -117,6 +117,17 @@ pub enum Error {
         /// The simulator fault.
         source: fpa_sim::ExecError,
     },
+    /// A built program's data segment (globals plus the code
+    /// generator's constant pool) ends above its stack top, outside the
+    /// machine's memory.
+    DataOverflow {
+        /// Which scheme's binary overflowed.
+        scheme: Scheme,
+        /// The first address past the data segment.
+        end: u64,
+        /// The program's stack top, where memory ends.
+        stack_top: u32,
+    },
     /// A built program's observable behaviour diverged from the golden
     /// interpreter run — the strongest possible correctness failure.
     Divergence {
@@ -150,7 +161,9 @@ impl Error {
     #[must_use]
     pub fn scheme(&self) -> Option<Scheme> {
         match self {
-            Error::Exec { scheme, .. } | Error::Divergence { scheme, .. } => Some(*scheme),
+            Error::Exec { scheme, .. }
+            | Error::DataOverflow { scheme, .. }
+            | Error::Divergence { scheme, .. } => Some(*scheme),
             Error::Workload { source, .. } => source.scheme(),
             _ => None,
         }
@@ -164,6 +177,14 @@ impl fmt::Display for Error {
             Error::Profile(e) => write!(f, "profile: {e}"),
             Error::Verify(e) => write!(f, "verify: {e}"),
             Error::Exec { scheme, source } => write!(f, "{scheme} build failed: {source}"),
+            Error::DataOverflow {
+                scheme,
+                end,
+                stack_top,
+            } => write!(
+                f,
+                "{scheme} build failed: data ends at {end:#x}, past the end of memory at {stack_top:#x}"
+            ),
             Error::Divergence { scheme, detail } => {
                 write!(f, "{scheme} build diverged: {detail}")
             }
@@ -179,7 +200,7 @@ impl std::error::Error for Error {
             Error::Profile(e) => Some(e),
             Error::Verify(e) => Some(e),
             Error::Exec { source, .. } => Some(source),
-            Error::Divergence { .. } => None,
+            Error::DataOverflow { .. } | Error::Divergence { .. } => None,
             Error::Workload { source, .. } => Some(source.as_ref()),
         }
     }
@@ -341,7 +362,9 @@ impl SuiteArtifacts {
     ///
     /// # Errors
     ///
-    /// [`Error::Verify`] if the transformed module fails verification.
+    /// [`Error::Verify`] if the transformed module fails verification,
+    /// [`Error::DataOverflow`] if the binary's data does not fit below
+    /// its stack.
     pub fn rebuild(&self, scheme: Scheme, params: &CostParams) -> Result<SchemeBuild, Error> {
         let freq = BlockFreq::from_profile(&self.module, &self.profile);
         back(
@@ -534,7 +557,8 @@ fn front(src: &str, timings: &mut StageTimings) -> Result<Profiled, Error> {
 }
 
 /// The back half, run once per scheme: partition → verify → stats →
-/// codegen. Takes the optimized module by value and hands it back in the
+/// codegen, then a check that the binary's data fits below its stack
+/// top. Takes the optimized module by value and hands it back in the
 /// [`SchemeBuild`]: transformed by the advanced and optimal schemes,
 /// untouched by the conventional and basic ones.
 fn back(
@@ -560,6 +584,19 @@ fn back(
     let (program, ct) = compile_module_timed(&module, &assignment);
     timings.regalloc += ct.regalloc;
     timings.emit += ct.emit;
+    let end = program
+        .data
+        .iter()
+        .map(|d| u64::from(d.addr) + d.bytes.len() as u64)
+        .max()
+        .unwrap_or(0);
+    if end > u64::from(program.stack_top) {
+        return Err(Error::DataOverflow {
+            scheme,
+            end,
+            stack_top: program.stack_top,
+        });
+    }
     Ok(SchemeBuild {
         program,
         module,
@@ -598,6 +635,25 @@ mod tests {
             print(x);
             return 0;
         }";
+
+    #[test]
+    fn constant_pool_past_the_stack_top_is_an_error() {
+        // The globals end exactly at the stack top, which the frontend
+        // accepts; the double constant's pool slot above them does not fit.
+        let src = "int a[2096128]; int main() { a[0] = 1; printd(2.5); return a[0]; }";
+        let err = Compiler::new(src).build_suite().unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::DataOverflow {
+                    scheme: Scheme::Conventional,
+                    end: 0x80_0008,
+                    stack_top: 0x80_0000,
+                }
+            ),
+            "{err}"
+        );
+    }
 
     #[test]
     fn builder_produces_consistent_artifacts() {

@@ -32,8 +32,7 @@ pub mod serve;
 
 pub use artifact::{build_suite_cached, set_ambient, ArtifactStore, StoreOutcome};
 pub use cell::{
-    run_cells, CellError, CellId, CellMode, CellPayload, CellResult, CellSource, CellSpec,
-    WidthPreset,
+    run_cells, CellError, CellId, CellMode, CellPayload, CellResult, CellSpec, WidthPreset,
 };
 pub use check::{check_matrix, CheckRow};
 pub use compiler::{
@@ -43,4 +42,4 @@ pub use engine::{ExperimentContext, MatrixReport, RunTelemetry};
 pub use experiments::{ablate_cost_params, AblationRow, Fig8Row, OverheadRow, SpeedupRow};
 pub use lint::{lint_matrix, lint_workload, LintRow};
 pub use pipeline::{build, CompiledWorkload};
-pub use serve::{respond, respond_batch, serve};
+pub use serve::{respond, serve};

@@ -1,4 +1,4 @@
-//! The `fpa-serve` batching compile-and-simulate service.
+//! The `fpa-serve` compile-and-simulate service.
 //!
 //! A line-delimited JSON protocol over TCP (`std::net` only): each
 //! request is one JSON object on one line, each response is one
@@ -15,18 +15,18 @@
 //! ```
 //!
 //! **Byte-identity by construction.** Every response is produced by the
-//! pure [`respond_batch`] function over the request values alone; the
-//! server's sockets, worker pool, and batching never feed into response
-//! bytes. A client therefore sees exactly the bytes a direct in-process
-//! call would produce, at any concurrency — the property
-//! `tests/serve_identity.rs` pins.
+//! pure [`respond`] function over the request value alone; the server's
+//! sockets and worker pool never feed into response bytes. A client
+//! therefore sees exactly the bytes a direct in-process call would
+//! produce, at any concurrency — the property `tests/serve_identity.rs`
+//! pins.
 //!
-//! **Batching.** Reader threads (one per connection) parse lines into a
-//! bounded queue; a fixed worker pool drains up to [`MAX_BATCH`]
-//! requests at a time and runs every `run` cell of the batch through
-//! one [`run_cells`] call — the same batched simulation path the
-//! experiment matrix and the fuzz oracle use, with one persistent
-//! simulator session per worker. Compiles go through the ambient
+//! **One request at a time.** Reader threads (one per connection) parse
+//! lines into a bounded queue; each worker of a fixed pool takes one
+//! request, answers it with [`respond`] and writes the response line
+//! before it takes the next. A `run` simulates its one cell through
+//! [`run_cells`] on the worker's thread, so each worker keeps one
+//! persistent simulator session. Compiles go through the ambient
 //! artifact store ([`crate::artifact`]), so concurrent duplicate
 //! requests coalesce into a single compile (single-flight) and repeat
 //! sources are answered from cache.
@@ -35,16 +35,13 @@
 //! with a `null` id (the id, if any, could not be trusted); a request
 //! naming an unknown op, a source that fails to compile, or a
 //! simulation fault gets an `"ok": false` response with the error
-//! message; a faulting cell never poisons its batchmates (the batch
-//! falls back to per-cell runs). The daemon itself only exits on a
-//! listener error.
+//! message. The daemon itself only exits on a listener error.
 
 use crate::artifact::{ambient, build_suite_cached};
-use crate::cell::{run_cells, CellId, CellMode, CellResult, CellSource, CellSpec, WidthPreset};
+use crate::cell::{run_cells, CellId, CellMode, CellResult, CellSpec, WidthPreset};
 use crate::compiler::{Scheme, SuiteArtifacts};
 use crate::json::Json;
 use crate::pipeline::CompiledWorkload;
-use fpa_isa::Program;
 use fpa_partition::{CostParams, PartitionStats};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
@@ -56,43 +53,42 @@ use std::thread;
 /// budget: generated and corpus programs finish far below it).
 pub const DEFAULT_FUEL: u64 = 50_000_000;
 
-/// Most requests one worker folds into a single [`run_cells`] batch.
-pub const MAX_BATCH: usize = 8;
+/// Requests a worker answers at a time. [`serve`] ignores its third
+/// parameter, which callers still pass this for.
+pub const MAX_BATCH: usize = 1;
 
 /// Queued requests before connection readers block (backpressure).
 const QUEUE_CAP: usize = 1024;
 
-/// One parsed request.
-enum Op {
+/// One parsed request, borrowing its source text from the request.
+enum Op<'a> {
     Ping,
     Stats,
     Compile {
-        source: String,
+        source: &'a str,
         params: CostParams,
     },
     Run {
-        source: String,
+        source: &'a str,
         scheme: Scheme,
         width: WidthPreset,
-        functional: bool,
+        mode: CellMode,
         fuel: u64,
     },
     Lint {
-        source: String,
+        source: &'a str,
     },
 }
 
-fn parse_req(req: &Json) -> Result<Op, String> {
+fn parse_req(req: &Json) -> Result<Op<'_>, String> {
     let op = req
         .get("op")
         .and_then(Json::as_str)
         .ok_or("missing \"op\"")?;
-    let source = || -> Result<String, String> {
-        Ok(req
-            .get("source")
+    let source = || {
+        req.get("source")
             .and_then(Json::as_str)
-            .ok_or("missing \"source\"")?
-            .to_string())
+            .ok_or("missing \"source\"")
     };
     match op {
         "ping" => Ok(Op::Ping),
@@ -123,16 +119,16 @@ fn parse_req(req: &Json) -> Result<Op, String> {
                 .and_then(Json::as_str)
                 .unwrap_or("4-way")
                 .parse()?;
-            let functional = match req.get("mode").and_then(Json::as_str) {
-                None | Some("timing") => false,
-                Some("functional") => true,
+            let mode = match req.get("mode").and_then(Json::as_str) {
+                None | Some("timing") => CellMode::Timing,
+                Some("functional") => CellMode::Functional,
                 Some(m) => return Err(format!("unknown mode \"{m}\" (timing|functional)")),
             };
             Ok(Op::Run {
                 source: source()?,
                 scheme,
                 width,
-                functional,
+                mode,
                 fuel: req
                     .get("fuel")
                     .and_then(Json::as_u64)
@@ -257,122 +253,52 @@ fn stats_response(req: &Json) -> Json {
     o
 }
 
-/// Resolves the batch's internal `r<index>` cell labels. The labels
-/// never appear in a response — they exist only to address cells inside
-/// one [`run_cells`] call.
-struct BatchSource(Vec<Option<SuiteArtifacts>>);
-
-impl CellSource for BatchSource {
-    fn resolve(&self, id: &CellId) -> Option<&Program> {
-        let i: usize = id.workload.strip_prefix('r')?.parse().ok()?;
-        Some(self.0.get(i)?.as_ref()?.program(id.scheme))
-    }
-}
-
-/// Answers one request. Exactly [`respond_batch`] over a single-element
-/// batch — the definition that makes server responses byte-identical to
-/// direct in-process calls.
+/// Answers one request. Pure in the request value: the response
+/// depends on nothing else — not on cache state, not on which worker
+/// answers — which is what makes server responses byte-identical to
+/// direct in-process calls. Every compile goes through the ambient
+/// artifact store; a `run` simulates its one cell through [`run_cells`]
+/// on the caller's thread.
 #[must_use]
 pub fn respond(req: &Json) -> Json {
-    respond_batch(std::slice::from_ref(req))
-        .pop()
-        .expect("one response per request")
+    answer(req).unwrap_or_else(|msg| error_response(req, &msg))
 }
 
-/// Answers a batch of requests, in request order. All `run` cells of
-/// the batch go through one [`run_cells`] call; every compile goes
-/// through the ambient artifact store. Pure in the request values:
-/// batch composition and order never change any individual response
-/// (cell results are deterministic and label-independent), so any
-/// split of a request stream into batches yields the same bytes.
-#[must_use]
-pub fn respond_batch(reqs: &[Json]) -> Vec<Json> {
-    let parsed: Vec<Result<Op, String>> = reqs.iter().map(parse_req).collect();
-
-    // Compile every run request (through the store) and gather its cell.
-    let mut compiled: Vec<Option<SuiteArtifacts>> = Vec::with_capacity(reqs.len());
-    let mut build_errors: Vec<Option<String>> = vec![None; reqs.len()];
-    let mut specs: Vec<CellSpec> = Vec::new();
-    for (i, p) in parsed.iter().enumerate() {
-        let mut slot = None;
-        if let Ok(Op::Run {
+/// [`respond`]'s successful responses; `Err` carries the message of an
+/// `"ok": false` one.
+fn answer(req: &Json) -> Result<Json, String> {
+    let compile = |source: &str, params: &CostParams| {
+        build_suite_cached(source, params)
+            .map(|(suite, _)| suite)
+            .map_err(|e| e.to_string())
+    };
+    Ok(match parse_req(req)? {
+        Op::Ping => {
+            let mut o = base(req, "ping");
+            o.set("ok", true);
+            o
+        }
+        Op::Stats => stats_response(req),
+        Op::Compile { source, params } => compile_response(req, &compile(source, &params)?),
+        Op::Run {
             source,
             scheme,
             width,
-            functional,
+            mode,
             fuel,
-        }) = p
-        {
-            match build_suite_cached(source, &CostParams::default()) {
-                Ok((suite, _)) => {
-                    slot = Some(suite);
-                    specs.push(CellSpec::new(
-                        CellId::new(format!("r{i}"), *scheme, *width),
-                        if *functional {
-                            CellMode::Functional
-                        } else {
-                            CellMode::Timing
-                        },
-                        *fuel,
-                    ));
-                }
-                Err(e) => build_errors[i] = Some(e.to_string()),
-            }
+        } => {
+            let suite = compile(source, &CostParams::default())?;
+            let compiled = [CompiledWorkload::from_suite("request", suite)];
+            let spec = CellSpec::new(CellId::new("request", scheme, width), mode, fuel);
+            let cells =
+                run_cells(&compiled, std::slice::from_ref(&spec), 1).map_err(|e| e.to_string())?;
+            run_response(req, scheme, width, &cells[0])
         }
-        compiled.push(slot);
-    }
-
-    // One batched simulation pass. If any cell faults, fall back to
-    // per-cell runs so the fault stays confined to its own request.
-    let source = BatchSource(compiled);
-    let mut cell_results: Vec<Result<CellResult, String>> = Vec::new();
-    match run_cells(&source, &specs, 1) {
-        Ok(results) => cell_results.extend(results.into_iter().map(Ok)),
-        Err(_) => {
-            for spec in &specs {
-                cell_results.push(
-                    run_cells(&source, std::slice::from_ref(spec), 1)
-                        .map(|mut v| v.pop().expect("one cell"))
-                        .map_err(|e| e.to_string()),
-                );
-            }
+        Op::Lint { source } => {
+            let suite = compile(source, &CostParams::default())?;
+            lint_response(req, &CompiledWorkload::from_suite("request", suite))
         }
-    }
-    let mut cells = cell_results.into_iter();
-
-    parsed
-        .iter()
-        .zip(reqs)
-        .enumerate()
-        .map(|(i, (p, req))| match p {
-            Err(msg) => error_response(req, msg),
-            Ok(Op::Ping) => {
-                let mut o = base(req, "ping");
-                o.set("ok", true);
-                o
-            }
-            Ok(Op::Stats) => stats_response(req),
-            Ok(Op::Compile { source, params }) => match build_suite_cached(source, params) {
-                Ok((suite, _)) => compile_response(req, &suite),
-                Err(e) => error_response(req, &e.to_string()),
-            },
-            Ok(Op::Run { scheme, width, .. }) => {
-                if let Some(msg) = &build_errors[i] {
-                    return error_response(req, msg);
-                }
-                match cells.next().expect("one cell per compiled run request") {
-                    Ok(r) => run_response(req, *scheme, *width, &r),
-                    Err(msg) => error_response(req, &msg),
-                }
-            }
-            Ok(Op::Lint { source }) => match build_suite_cached(source, &CostParams::default()) {
-                Ok((suite, _)) => {
-                    lint_response(req, &CompiledWorkload::from_suite("request", suite))
-                }
-                Err(e) => error_response(req, &e.to_string()),
-            },
-        })
-        .collect()
+    })
 }
 
 // ---- Server runtime ----------------------------------------------------
@@ -402,16 +328,16 @@ impl Shared {
         self.ready.notify_one();
     }
 
-    /// Blocks until work arrives, then drains up to `max_batch` jobs.
-    fn pop_batch(&self, max_batch: usize) -> Vec<Job> {
+    /// Blocks until work arrives, then takes the oldest job.
+    fn pop(&self) -> Job {
         let mut q = self.queue.lock().expect("queue poisoned");
-        while q.is_empty() {
+        loop {
+            if let Some(job) = q.pop_front() {
+                self.space.notify_one();
+                return job;
+            }
             q = self.ready.wait(q).expect("queue poisoned");
         }
-        let n = q.len().min(max_batch.max(1));
-        let batch: Vec<Job> = q.drain(..n).collect();
-        self.space.notify_all();
-        batch
     }
 }
 
@@ -456,15 +382,16 @@ fn spawn_reader(stream: TcpStream, shared: Arc<Shared>) {
     });
 }
 
-/// Runs the service on an already-bound listener: `workers` batch
-/// processors over a bounded queue, one reader thread per connection.
-/// Returns only if the accept loop fails.
+/// Runs the service on an already-bound listener: `workers` threads
+/// over a bounded queue, each answering one request at a time, and one
+/// reader thread per connection. `_max_batch` is ignored; callers still
+/// pass [`MAX_BATCH`] for it. Returns only if the accept loop fails.
 ///
 /// # Errors
 ///
 /// Returns the listener's [`std::io::Error`] when accepting fails
 /// unrecoverably.
-pub fn serve(listener: &TcpListener, workers: usize, max_batch: usize) -> std::io::Result<()> {
+pub fn serve(listener: &TcpListener, workers: usize, _max_batch: usize) -> std::io::Result<()> {
     let shared = Arc::new(Shared {
         queue: Mutex::new(VecDeque::new()),
         ready: Condvar::new(),
@@ -473,12 +400,8 @@ pub fn serve(listener: &TcpListener, workers: usize, max_batch: usize) -> std::i
     for _ in 0..workers.max(1) {
         let shared = shared.clone();
         thread::spawn(move || loop {
-            let batch = shared.pop_batch(max_batch);
-            let reqs: Vec<Json> = batch.iter().map(|j| j.req.clone()).collect();
-            let resps = respond_batch(&reqs);
-            for (job, resp) in batch.iter().zip(&resps) {
-                write_line(&job.conn, resp);
-            }
+            let job = shared.pop();
+            write_line(&job.conn, &respond(&job.req));
         });
     }
     for stream in listener.incoming() {
@@ -515,14 +438,17 @@ mod tests {
             .set("mode", "functional");
         let mut l = Json::obj();
         l.set("id", 5u64).set("op", "lint").set("source", SRC);
-        let resps = respond_batch(&[
+        let resps: Vec<Json> = [
             req(r#"{"id": 1, "op": "ping"}"#),
             c,
             r,
             f,
             l,
             req(r#"{"id": 6, "op": "stats"}"#),
-        ]);
+        ]
+        .iter()
+        .map(respond)
+        .collect();
         for (i, resp) in resps.iter().enumerate() {
             assert_eq!(
                 resp.get("ok"),
@@ -537,50 +463,51 @@ mod tests {
         assert_eq!(resps[4].get("clean"), Some(&Json::Bool(true)));
     }
 
-    #[test]
-    fn batch_composition_never_changes_a_response() {
-        let mut run = Json::obj();
-        run.set("id", "x")
-            .set("op", "run")
-            .set("source", SRC)
-            .set("scheme", "basic")
-            .set("width", "8-way");
-        let alone = respond(&run);
-        let mut other = Json::obj();
-        other
-            .set("id", "y")
-            .set("op", "run")
-            .set("source", SRC)
-            .set("scheme", "optimal");
-        let batched = respond_batch(&[other.clone(), run.clone(), req(r#"{"op": "ping"}"#)]);
-        assert_eq!(batched[1].render_compact(), alone.render_compact());
+    fn error(resp: &Json) -> &str {
+        assert_eq!(resp.get("ok"), Some(&Json::Bool(false)), "{resp:?}");
+        resp.get("error")
+            .and_then(Json::as_str)
+            .expect("error text")
     }
 
     #[test]
-    fn errors_are_reported_per_request_without_poisoning_the_batch() {
+    fn errors_are_reported_per_request() {
         let mut bad = Json::obj();
         bad.set("id", 1u64)
             .set("op", "run")
             .set("source", "int main() { return undeclared; }");
+        assert!(error(&respond(&bad)).contains("undeclared"));
         let mut good = Json::obj();
         good.set("id", 2u64).set("op", "run").set("source", SRC);
-        let resps = respond_batch(&[
-            bad,
-            good,
-            req(r#"{"id": 3, "op": "explode"}"#),
-            req(r#"{"id": 4}"#),
-        ]);
-        assert_eq!(resps[0].get("ok"), Some(&Json::Bool(false)));
-        assert_eq!(resps[1].get("ok"), Some(&Json::Bool(true)));
-        assert!(resps[2]
-            .get("error")
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("unknown op"));
-        assert!(resps[3]
-            .get("error")
-            .and_then(Json::as_str)
-            .unwrap()
-            .contains("missing \"op\""));
+        assert_eq!(respond(&good).get("ok"), Some(&Json::Bool(true)));
+        good.set("scheme", "advanced").set("fuel", 10u64);
+        assert_eq!(
+            error(&respond(&good)),
+            "cell request/advanced/4-way: instruction budget exhausted"
+        );
+        assert!(error(&respond(&req(r#"{"id": 3, "op": "explode"}"#))).contains("unknown op"));
+        assert!(error(&respond(&req(r#"{"id": 4}"#))).contains("missing \"op\""));
+    }
+
+    #[test]
+    fn programs_too_large_for_memory_are_refused() {
+        let huge = [
+            // Globals past the 8 MiB stack top, sized without overflow.
+            "int a[4000000]; int main() { a[3999999] = 1; return a[3999999]; }",
+            // Globals that end exactly at the stack top, plus a double
+            // constant the code generator pools above them.
+            "int a[2096128]; int main() { a[0] = 1; print(2.5); return a[0]; }",
+            // 4 * 2^30 bytes: wraps to zero in 32-bit arithmetic.
+            "int a[1073741824]; int main() { a[1] = 1; return a[1]; }",
+            // A 4 GB data segment.
+            "int a[1000000000]; int main() { a[1] = 1; return a[1]; }",
+        ];
+        for source in huge {
+            for op in ["compile", "run", "lint"] {
+                let mut r = Json::obj();
+                r.set("op", op).set("source", source);
+                error(&respond(&r));
+            }
+        }
     }
 }

@@ -5,9 +5,10 @@
 //! The server runs in-process on an OS-assigned port; client threads
 //! pipeline requests (several in flight per connection) and match
 //! responses back by id, so the comparison survives out-of-order
-//! completion across the worker pool's batches.
+//! completion across the worker pool.
 
 use fpa_harness::json::Json;
+use fpa_harness::serve::MAX_BATCH;
 use fpa_harness::{respond, serve, set_ambient, ArtifactStore};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -17,6 +18,11 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 
+/// A program whose globals do not fit in the machine's 8 MiB memory:
+/// every request for it must get an `"ok": false` answer.
+const OVERSIZED: &str = "int a[4000000]; int main() { a[3999999] = 1; return a[3999999]; }";
+
+/// The corpus programs, plus [`OVERSIZED`].
 fn corpus_sources() -> Vec<String> {
     let dir = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus");
     let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
@@ -28,12 +34,14 @@ fn corpus_sources() -> Vec<String> {
     paths
         .iter()
         .map(|p| std::fs::read_to_string(p).expect("corpus file"))
+        .chain([OVERSIZED.to_string()])
         .collect()
 }
 
-/// Every request the test sends: per corpus program, a compile, a
-/// timing run, a functional run, and a lint — then the whole stream
-/// again (duplicate sources must coalesce, not drift).
+/// Every request the test sends: per program, a compile, a timing run,
+/// a functional run, a timing run that runs out of fuel, and a lint —
+/// then the whole stream again (duplicate sources must coalesce, not
+/// drift).
 fn requests(sources: &[String]) -> Vec<Json> {
     fn mk(id: usize, op: &str, src: &str) -> Json {
         let mut r = Json::obj();
@@ -50,6 +58,9 @@ fn requests(sources: &[String]) -> Vec<Json> {
             let mut func = mk(reqs.len(), "run", src);
             func.set("mode", "functional");
             reqs.push(func);
+            let mut starved = mk(reqs.len(), "run", src);
+            starved.set("scheme", "advanced").set("fuel", 10u64);
+            reqs.push(starved);
             reqs.push(mk(reqs.len(), "lint", src));
         }
     }
@@ -119,10 +130,16 @@ fn served_responses_are_byte_identical_to_direct_calls() {
         })
         .collect();
     assert_eq!(expected.len(), reqs.len(), "request ids must be unique");
+    for r in reqs.iter() {
+        if r.get("source").and_then(Json::as_str) == Some(OVERSIZED) {
+            let id = r.get("id").and_then(Json::as_u64).expect("id");
+            assert!(expected[&id].contains(r#""ok":false"#), "{}", expected[&id]);
+        }
+    }
 
     let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
     let addr = listener.local_addr().expect("addr");
-    thread::spawn(move || serve(&listener, 4, 8));
+    thread::spawn(move || serve(&listener, 4, MAX_BATCH));
 
     for clients in [1usize, 6] {
         let next = Arc::new(AtomicUsize::new(0));

@@ -277,6 +277,10 @@ impl Module {
     /// simulator agree on every address.
     pub const DATA_BASE: u32 = 0x1000;
 
+    /// End of the machine's memory: the stack starts here and grows
+    /// down, so the data segment must end at or below it.
+    pub const DATA_END: u32 = fpa_isa::Program::DEFAULT_STACK_TOP;
+
     /// Creates an empty module.
     #[must_use]
     pub fn new() -> Module {
