@@ -169,8 +169,8 @@ pub struct CellSpec {
     pub mode: CellMode,
     /// Override for the machine's augmented bit. `None` derives it from
     /// the scheme (conventional ⇒ plain, basic/advanced ⇒ augmented);
-    /// `Some` forces it — e.g. the §7.2 overhead table times the
-    /// conventional binary on the *augmented* 4-way machine.
+    /// `Some` forces it. The bit only names the machine (see
+    /// [`MachineConfig::augmented`]).
     pub augmented: Option<bool>,
     /// Simulation fuel (cycles for timing modes, instructions for
     /// functional).

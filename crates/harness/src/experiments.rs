@@ -102,8 +102,9 @@ pub(crate) fn speedup_row_from(
 }
 
 /// Assembles a §7.2 overhead row. `tc`/`ta` are the conventional and
-/// advanced binaries timed on the *augmented* 4-way machine (the table
-/// compares i-cache behaviour on one fixed machine).
+/// advanced binaries timed on the 4-way machine (the table compares
+/// i-cache behaviour on one fixed machine; the augmented flag does not
+/// change a binary's timing).
 pub(crate) fn overhead_row_from(
     c: &CompiledWorkload,
     conv: &FuncSimResult,

@@ -4,8 +4,8 @@
 //! over virtual registers, organized into basic blocks and control-flow
 //! graphs, together with the dataflow analyses (reaching definitions,
 //! liveness), dominator/loop analysis, classic machine-independent
-//! optimization passes, and a reference interpreter used both as the
-//! golden semantic model and as the basic-block profiler.
+//! optimization passes, and an interpreter used both as the golden
+//! semantic model and as the basic-block profiler.
 //!
 //! The design deliberately mirrors the compiler the paper built on
 //! (gcc 2.7.1): partitioning runs on *non-SSA* three-address code after the
@@ -34,5 +34,5 @@ pub use dataflow::{DefUse, Liveness, ReachingDefs};
 pub use func::{Block, BlockId, FuncId, Function, Global, InstId, Module, VReg};
 pub use inst::{BinOp, CvtKind, Inst, MemWidth, Terminator};
 pub use interp::{ExecOutcome, Interp, InterpError, Profile};
-pub use types::{Ty, Value};
+pub use types::Ty;
 pub use verify::VerifyError;

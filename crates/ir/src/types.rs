@@ -1,4 +1,4 @@
-//! Value types.
+//! Register types.
 
 use std::fmt;
 
@@ -25,108 +25,13 @@ impl fmt::Display for Ty {
     }
 }
 
-/// A runtime value in the interpreter.
-///
-/// ```
-/// use fpa_ir::{Ty, Value};
-/// let v = Value::Int(7);
-/// assert_eq!(v.ty(), Ty::Int);
-/// assert_eq!(v.as_int(), 7);
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Value {
-    /// An integer (or address).
-    Int(i32),
-    /// A double-precision float.
-    Double(f64),
-}
-
-impl Value {
-    /// The value's type.
-    #[must_use]
-    pub fn ty(self) -> Ty {
-        match self {
-            Value::Int(_) => Ty::Int,
-            Value::Double(_) => Ty::Double,
-        }
-    }
-
-    /// The integer payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is a double (interpreter type confusion — the
-    /// verifier rules this out for well-typed IR).
-    #[must_use]
-    pub fn as_int(self) -> i32 {
-        match self {
-            Value::Int(v) => v,
-            Value::Double(d) => panic!("expected int, found double {d}"),
-        }
-    }
-
-    /// The double payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is an integer.
-    #[must_use]
-    pub fn as_double(self) -> f64 {
-        match self {
-            Value::Double(v) => v,
-            Value::Int(i) => panic!("expected double, found int {i}"),
-        }
-    }
-}
-
-impl From<i32> for Value {
-    fn from(v: i32) -> Value {
-        Value::Int(v)
-    }
-}
-
-impl From<f64> for Value {
-    fn from(v: f64) -> Value {
-        Value::Double(v)
-    }
-}
-
-impl fmt::Display for Value {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Double(v) => write!(f, "{v}"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn round_trips() {
-        assert_eq!(Value::from(3).as_int(), 3);
-        assert_eq!(Value::from(2.5).as_double(), 2.5);
-        assert_eq!(Value::Int(-1).ty(), Ty::Int);
-        assert_eq!(Value::Double(0.0).ty(), Ty::Double);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected int")]
-    fn int_accessor_checks() {
-        let _ = Value::Double(1.0).as_int();
-    }
-
-    #[test]
-    #[should_panic(expected = "expected double")]
-    fn double_accessor_checks() {
-        let _ = Value::Int(1).as_double();
-    }
-
-    #[test]
     fn display() {
         assert_eq!(Ty::Int.to_string(), "int");
-        assert_eq!(Value::Int(-4).to_string(), "-4");
+        assert_eq!(Ty::Double.to_string(), "double");
     }
 }

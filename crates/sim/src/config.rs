@@ -62,7 +62,9 @@ pub struct MachineConfig {
     pub int_phys: u32,
     /// Floating-point physical registers.
     pub fp_phys: u32,
-    /// Whether the FP subsystem accepts the 22 augmented opcodes.
+    /// Whether this is the augmented machine, whose FP subsystem accepts
+    /// the 22 `*A` opcodes. Only `name` reflects it: the simulators run
+    /// every opcode on either machine, so a binary times the same on both.
     pub augmented: bool,
     /// Instruction cache.
     pub icache: CacheConfig,

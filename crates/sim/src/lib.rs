@@ -8,9 +8,10 @@
 //! * [`ooo`] — a cycle-based out-of-order timing simulator with the
 //!   microarchitecture of the paper's Table 1: gshare branch prediction,
 //!   I/D caches, separate INT and FP issue windows and functional units,
-//!   register renaming, and in-order retirement. Conventional and
-//!   augmented machines differ only in whether the FP subsystem accepts
-//!   the `*A` opcodes. Internally it runs a wakeup-driven fast path
+//!   register renaming, and in-order retirement. It runs the `*A`
+//!   opcodes on any machine: [`MachineConfig::augmented`] only names
+//!   the machine, so a binary times the same with it set or clear.
+//!   Internally it runs a wakeup-driven fast path
 //!   (pre-decode, ready and store-barrier bitmasks, store-queue
 //!   forwarding, cycle skipping).
 //! * [`reference`](mod@reference) — the original full-window-rescan
