@@ -314,7 +314,7 @@ pub fn case_store_key(src: &str) -> fpa_harness::artifact::Key {
 pub fn check_case(src: &str) -> Result<CheckedCase, OracleFailure> {
     // One frontend pass, four builds, plus the golden interpreter run —
     // through the ambient artifact store when one is configured
-    // (`FPA_STORE_DIR`), so corpus replays and duplicate-heavy campaigns
+    // (`--store DIR`), so corpus replays and duplicate-heavy campaigns
     // compile each distinct source once.
     let (suite, _store) =
         build_suite_cached(src, &CostParams::default()).map_err(|e| OracleFailure {

@@ -2,7 +2,8 @@
 //! allocation cache. Running the whole corpus through one session — in
 //! an order that interleaves workloads, schemes, and machine widths, so
 //! arenas repeatedly resize, memory pages written by one program must be
-//! zeroed before the next, and the decoded-program cache churns — must
+//! zeroed before the next, and the decode buffer is refilled with a
+//! longer or shorter program each run — must
 //! produce timing results, functional results with their final memory,
 //! and co-simulation reports identical to giving every run a fresh
 //! session, and identical to the session-routed free functions the batch
@@ -64,7 +65,7 @@ fn interleaved_session_runs_match_fresh_state_runs() {
         .collect();
 
     // Baseline: every cell on a brand-new session (fresh arenas, empty
-    // program cache).
+    // decode buffer).
     let baseline: Vec<_> = cells
         .iter()
         .map(|(i, cfg)| SimSession::new().simulate(&programs[*i].0, cfg, FUEL))
@@ -76,8 +77,8 @@ fn interleaved_session_runs_match_fresh_state_runs() {
     // state. Each pass sweeps that order three times — timing runs,
     // functional runs (with final memory), co-simulated runs — so every
     // run of a kind follows a different program. Two full passes: the
-    // second replays everything through the warmed decoded-program
-    // cache.
+    // second replays everything through arenas already grown to their
+    // largest size.
     let mut session = SimSession::new();
     let mut order = Vec::with_capacity(cells.len());
     let (mut lo, mut hi) = (0, cells.len());

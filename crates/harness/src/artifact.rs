@@ -3,8 +3,8 @@
 //! This module turns the generic byte store (`fpa_store`) into a typed
 //! compile cache: [`build_suite_cached`] is a drop-in replacement for
 //! `Compiler::build_suite` that consults the process-wide *ambient*
-//! store (configured by the `FPA_STORE_DIR` environment variable or
-//! [`set_ambient`]) before running the compiler.
+//! store (configured by [`set_ambient`], which every tool's `--store
+//! DIR` flag calls) before running the compiler.
 //!
 //! **Key derivation.** An artifact's identity is the hash of everything
 //! that can change its bytes:
@@ -42,7 +42,6 @@ use fpa_store::{Hasher, Outcome, Store, StoreStats};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, OnceLock, RwLock};
-use std::time::Duration;
 
 // ---- Key derivation ---------------------------------------------------
 
@@ -792,32 +791,9 @@ fn dec_profile(d: &mut Decoder) -> Result<Profile, CodecError> {
     Ok(Profile::from_raw(counts))
 }
 
-fn enc_timings(e: &mut Encoder, t: &StageTimings) {
-    for d in [
-        t.parse,
-        t.optimize,
-        t.profile,
-        t.partition,
-        t.regalloc,
-        t.emit,
-    ] {
-        e.u64(d.as_nanos() as u64);
-    }
-}
-
-fn dec_timings(d: &mut Decoder) -> Result<StageTimings, CodecError> {
-    let mut ns = || d.u64().map(Duration::from_nanos);
-    Ok(StageTimings {
-        parse: ns()?,
-        optimize: ns()?,
-        profile: ns()?,
-        partition: ns()?,
-        regalloc: ns()?,
-        emit: ns()?,
-    })
-}
-
-/// Serializes a full suite bundle to the store payload format.
+/// Serializes a full suite bundle to the store payload format. The
+/// stage timings stay out: they are the wall clock of one compile, not
+/// part of what it built, so a decoded suite reports none.
 #[must_use]
 pub fn encode_suite(s: &SuiteArtifacts) -> Vec<u8> {
     let mut e = Encoder::new();
@@ -840,7 +816,6 @@ pub fn encode_suite(s: &SuiteArtifacts) -> Vec<u8> {
     }
     enc_profile(&mut e, &s.profile);
     e.str(&s.golden_output).i32(s.golden_exit);
-    enc_timings(&mut e, &s.timings);
     e.finish()
 }
 
@@ -869,7 +844,6 @@ pub fn decode_suite(bytes: &[u8]) -> Result<SuiteArtifacts, CodecError> {
     let profile = dec_profile(&mut d)?;
     let golden_output = d.str()?.to_string();
     let golden_exit = d.i32()?;
-    let timings = dec_timings(&mut d)?;
     d.finish()?;
     Ok(SuiteArtifacts {
         conventional,
@@ -889,7 +863,7 @@ pub fn decode_suite(bytes: &[u8]) -> Result<SuiteArtifacts, CodecError> {
         profile,
         golden_output,
         golden_exit,
-        timings,
+        timings: StageTimings::default(),
     })
 }
 
@@ -1035,45 +1009,18 @@ impl ArtifactStore {
 
 // ---- The ambient store ------------------------------------------------
 
-static AMBIENT: OnceLock<RwLock<Option<Arc<ArtifactStore>>>> = OnceLock::new();
-
-fn ambient_cell() -> &'static RwLock<Option<Arc<ArtifactStore>>> {
-    AMBIENT.get_or_init(|| RwLock::new(ambient_from_env()))
-}
-
-/// The initial ambient store: `FPA_STORE_DIR`, if set and openable.
-/// An unopenable directory degrades to uncached compiles with a
-/// warning — a bad cache path must never fail the build itself.
-fn ambient_from_env() -> Option<Arc<ArtifactStore>> {
-    let dir = std::env::var_os("FPA_STORE_DIR")?;
-    if dir.is_empty() {
-        return None;
-    }
-    match ArtifactStore::open(&dir) {
-        Ok(s) => Some(Arc::new(s)),
-        Err(e) => {
-            eprintln!(
-                "fpa: cannot open artifact store {}: {e}; compiling uncached",
-                Path::new(&dir).display()
-            );
-            None
-        }
-    }
-}
+static AMBIENT: RwLock<Option<Arc<ArtifactStore>>> = RwLock::new(None);
 
 /// Replaces the process-wide ambient store (pass `None` to disable
 /// caching). Tools with a `--store DIR` flag call this before building.
 pub fn set_ambient(store: Option<Arc<ArtifactStore>>) {
-    *ambient_cell().write().expect("ambient store poisoned") = store;
+    *AMBIENT.write().expect("ambient store poisoned") = store;
 }
 
 /// The current ambient store, if any.
 #[must_use]
 pub fn ambient() -> Option<Arc<ArtifactStore>> {
-    ambient_cell()
-        .read()
-        .expect("ambient store poisoned")
-        .clone()
+    AMBIENT.read().expect("ambient store poisoned").clone()
 }
 
 /// [`Compiler::build_suite`] through the ambient store: cached when one
@@ -1122,10 +1069,22 @@ mod tests {
         let suite = build();
         let bytes = encode_suite(&suite);
         let back = decode_suite(&bytes).unwrap();
-        assert_eq!(suite, back);
+        // Everything but the compile's wall clock, which stays out.
+        assert_eq!(
+            SuiteArtifacts {
+                timings: StageTimings::default(),
+                ..suite
+            },
+            back
+        );
         // Re-encoding the decoded bundle is byte-identical: the codec
         // has one canonical form (assignments are sorted on encode).
         assert_eq!(encode_suite(&back), bytes);
+    }
+
+    #[test]
+    fn separate_compiles_encode_to_the_same_bytes() {
+        assert_eq!(encode_suite(&build()), encode_suite(&build()));
     }
 
     #[test]
@@ -1176,19 +1135,19 @@ mod tests {
         assert_eq!(o1, StoreOutcome::Miss);
         let (second, o2) = store.suite(SRC, &params).unwrap();
         assert_eq!(o2, StoreOutcome::MemHit);
-        assert_eq!(first, second);
+        // A hit reports no compile wall clock; everything else matches.
+        let without_clock = |s: &SuiteArtifacts| SuiteArtifacts {
+            timings: StageTimings::default(),
+            ..s.clone()
+        };
+        assert_eq!(without_clock(&first), second);
 
         // A verified-but-undecodable payload is evicted and recompiled.
         let key = suite_key(SRC, &params);
         store.raw().insert(key, b"not a suite payload".to_vec());
         let (third, o3) = store.suite(SRC, &params).unwrap();
         assert_eq!(o3, StoreOutcome::Miss);
-        // The recompile reruns the wall clock; everything else matches.
-        let recompiled = SuiteArtifacts {
-            timings: first.timings,
-            ..third
-        };
-        assert_eq!(first, recompiled);
+        assert_eq!(without_clock(&first), without_clock(&third));
         assert_eq!(store.stats().corrupt_evicted, 1);
         // And the re-inserted entry serves cleanly again.
         let (_, o4) = store.suite(SRC, &params).unwrap();

@@ -7,7 +7,7 @@
 //! batch of such [`CellSpec`]s goes through [`run_cells`], which fans
 //! the cells across a worker pool; each worker thread runs its cells
 //! through one persistent [`fpa_sim::SimSession`] (the `fpa_sim` entry
-//! points are session-routed), so decoded programs and simulator arenas
+//! points are session-routed), so the decode buffer and simulator arenas
 //! are reused across every cell a worker executes and steady state
 //! allocates nothing per cell.
 //!
@@ -49,28 +49,14 @@ impl WidthPreset {
         }
     }
 
-    /// The preset's [`MachineConfig`] with the given augmented flag.
+    /// The preset's [`MachineConfig`], named augmented or conventional
+    /// by `augmented`.
     #[must_use]
     pub fn config(self, augmented: bool) -> MachineConfig {
         match self {
             WidthPreset::FourWay => MachineConfig::four_way(augmented),
             WidthPreset::EightWay => MachineConfig::eight_way(augmented),
         }
-    }
-
-    /// Recognizes a preset-built [`MachineConfig`], returning the preset
-    /// and the augmented flag it was built with. `None` for custom
-    /// configurations.
-    #[must_use]
-    pub fn matching(cfg: &MachineConfig) -> Option<(WidthPreset, bool)> {
-        for preset in WidthPreset::ALL {
-            for augmented in [false, true] {
-                if *cfg == preset.config(augmented) {
-                    return Some((preset, augmented));
-                }
-            }
-        }
-        None
     }
 }
 
@@ -170,7 +156,7 @@ pub struct CellSpec {
     /// Override for the machine's augmented bit. `None` derives it from
     /// the scheme (conventional ⇒ plain, basic/advanced ⇒ augmented);
     /// `Some` forces it. The bit only names the machine (see
-    /// [`MachineConfig::augmented`]).
+    /// [`MachineConfig::name`]).
     pub augmented: Option<bool>,
     /// Simulation fuel (cycles for timing modes, instructions for
     /// functional).
@@ -383,19 +369,6 @@ mod tests {
         assert_eq!(id.to_string(), "compress/advanced/4-way");
         let back = CellId::from_json(&id.to_json()).unwrap();
         assert_eq!(back, id);
-    }
-
-    #[test]
-    fn width_matching_recognizes_both_presets() {
-        for preset in WidthPreset::ALL {
-            for augmented in [false, true] {
-                let cfg = preset.config(augmented);
-                assert_eq!(WidthPreset::matching(&cfg), Some((preset, augmented)));
-            }
-        }
-        let mut odd = MachineConfig::four_way(true);
-        odd.max_inflight += 1;
-        assert_eq!(WidthPreset::matching(&odd), None);
     }
 
     #[test]

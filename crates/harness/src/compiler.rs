@@ -300,7 +300,8 @@ pub struct SuiteArtifacts {
     pub golden_output: String,
     /// Golden exit code.
     pub golden_exit: i32,
-    /// Per-stage timings summed over the four builds.
+    /// Per-stage timings summed over the four builds; zero for a suite
+    /// decoded from the artifact store, whose payload carries none.
     pub timings: StageTimings,
 }
 

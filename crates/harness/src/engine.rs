@@ -81,7 +81,8 @@ pub fn default_jobs() -> usize {
 pub struct RunTelemetry {
     /// Workload name.
     pub name: String,
-    /// Per-stage compile timings (one frontend pass, all four builds).
+    /// Per-stage compile timings (one frontend pass, all four builds);
+    /// zero when the artifact store served the suite.
     pub timings: StageTimings,
     /// Wall-clock seconds this workload's 4-way simulations took.
     pub sim_seconds: f64,

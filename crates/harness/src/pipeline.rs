@@ -76,7 +76,7 @@ impl CompiledWorkload {
 /// optimized module.
 ///
 /// Goes through the ambient artifact store when one is configured
-/// (`FPA_STORE_DIR` or [`crate::artifact::set_ambient`]); use
+/// ([`crate::artifact::set_ambient`]); use
 /// [`build_traced`] to also observe whether the cache was hit.
 ///
 /// # Errors

@@ -24,7 +24,7 @@ use fpa_workloads::Workload;
 
 /// Strips every nondeterministic field: wall-clock times, plus the
 /// artifact-store counters (`frontend_runs` and the cache outcomes vary
-/// with `FPA_STORE_DIR` / prior store contents, never with the
+/// with the configured store / prior store contents, never with the
 /// statistics under test).
 fn normalized(mut m: MatrixReport) -> MatrixReport {
     m.jobs = 0;

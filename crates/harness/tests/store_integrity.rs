@@ -6,9 +6,9 @@ use fpa_harness::{ArtifactStore, Compiler, StoreOutcome, SuiteArtifacts};
 use fpa_partition::CostParams;
 use std::path::PathBuf;
 
-/// Timings are wall-clock measurements: a decoded bundle carries the
-/// *stored* timings, a fresh compile its own. Equality up to timings is
-/// the artifact-level contract.
+/// Timings are wall-clock measurements: a decoded bundle carries none, a
+/// fresh compile its own. Equality up to timings is the artifact-level
+/// contract.
 fn normalized(suite: SuiteArtifacts, reference: &SuiteArtifacts) -> SuiteArtifacts {
     SuiteArtifacts {
         timings: reference.timings,

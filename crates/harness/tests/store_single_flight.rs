@@ -72,8 +72,7 @@ fn k_identical_concurrent_requests_compile_exactly_once() {
             ),
             "unexpected outcome {outcome:?}"
         );
-        // Every thread got the same artifacts (timings ride along with
-        // the stored payload, so even those agree across waiters).
+        // Every thread got the same artifacts.
         assert_eq!(suite.golden_output, results[0].0.golden_output);
         assert_eq!(suite.conventional, results[0].0.conventional);
         assert_eq!(suite.advanced, results[0].0.advanced);

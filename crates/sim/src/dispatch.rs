@@ -1,17 +1,13 @@
-//! Direct-threaded instruction dispatch and shared pre-decode.
+//! Instruction pre-decode and the one opcode dispatch table.
 //!
-//! A program entering the simulator is *prepared* once into a
-//! [`PreProgram`]: per instruction, a [`DecodedInst`] (every static
-//! property the pipeline asks about) fused with an [`XInst`] — the
-//! instruction's operands plus a handler function pointer that executes
-//! its exact [`crate::exec::Machine::exec`] semantics. Both the
-//! functional simulator and the timing simulator's architectural oracle
-//! then run instructions through one indirect call instead of re-matching
-//! the opcode and unwrapping operand `Option`s per dynamic instance.
-//!
-//! Prepared programs are content-addressed (see [`hash_program`]) and
-//! shared through [`crate::session::SimSession`], so a workload decoded
-//! once serves every scheme, machine width, and sweep point that runs it.
+//! Each run decodes its program into a `Vec<PreInst>` that the session
+//! keeps, cleared and refilled by [`decode_into`]: per instruction, a
+//! [`DecodedInst`] (every static property the pipeline asks about) fused
+//! with an [`XInst`] — the instruction's operands, unused slots resolved
+//! to `$0`. Both the functional simulator and the timing simulator's
+//! architectural oracle then execute through [`exec_pre`], one match on
+//! the opcode whose arms call the handlers below, instead of re-matching
+//! the opcode and unwrapping operand `Option`s in `Machine::exec`.
 //!
 //! Handler semantics are mirrored arm-for-arm from `Machine::exec`, which
 //! remains the behavioural spec (and the path the equivalence tests
@@ -20,15 +16,10 @@
 use crate::exec::{ExecError, Machine, Step};
 use fpa_isa::{hostio, Inst, IntReg, Op, Program, Reg, Subsystem};
 
-/// Executes one prepared instruction on the architectural machine.
-pub(crate) type Handler = fn(&mut Machine, &XInst, u32) -> Result<Step, ExecError>;
-
-/// One instruction, pre-threaded: operand registers resolved (unused
-/// slots read `$0`, which is architecturally zero) and the opcode lowered
-/// to a handler pointer.
+/// One instruction's operands: registers resolved (unused slots read
+/// `$0`, which is architecturally zero) for the handlers.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct XInst {
-    pub run: Handler,
     /// `rs` (first source / base address).
     pub a: Reg,
     /// `rt` (second source / store value).
@@ -39,7 +30,7 @@ pub(crate) struct XInst {
     pub target: u32,
 }
 
-/// One static instruction, decoded once before simulation: every property
+/// One static instruction, decoded at the start of each run: every property
 /// the pipeline asks about per dynamic instance, precomputed so the fetch
 /// stage does table lookups instead of re-deriving op classes and
 /// allocating operand vectors.
@@ -85,9 +76,8 @@ impl DecodedInst {
     }
 }
 
-/// A fully prepared static instruction: decode properties plus the
-/// threaded executor, one cache line's worth of everything the pipeline
-/// needs per dynamic instance.
+/// A decoded static instruction: decode properties plus the operands
+/// its handler reads, everything the pipeline needs per dynamic instance.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct PreInst {
     pub op: Op,
@@ -95,87 +85,23 @@ pub(crate) struct PreInst {
     pub d: DecodedInst,
 }
 
-/// A program prepared for simulation. Immutable once built; shared across
-/// runs via `Rc` in [`crate::session::SimSession`].
-#[derive(Debug)]
-pub struct PreProgram {
-    pub(crate) pre: Vec<PreInst>,
+/// Decodes `program` into `out`, replacing what the previous run left.
+pub(crate) fn decode_into(program: &Program, out: &mut Vec<PreInst>) {
+    out.clear();
+    out.extend(program.code.iter().map(|inst| PreInst {
+        op: inst.op,
+        x: operands(inst),
+        d: DecodedInst::decode(inst.op, inst),
+    }));
 }
 
-/// Prepares `program` for direct-threaded simulation.
-#[must_use]
-pub(crate) fn prepare(program: &Program) -> PreProgram {
-    let pre = program
-        .code
-        .iter()
-        .map(|inst| PreInst {
-            op: inst.op,
-            x: thread_inst(inst),
-            d: DecodedInst::decode(inst.op, inst),
-        })
-        .collect();
-    PreProgram { pre }
-}
-
-/// Content hash of everything [`prepare`] reads from a program: the
-/// instruction stream. 128 bits via two
-/// independently-seeded FNV-1a accumulators, so the prepared-program
-/// cache can key on content without ever comparing programs.
-#[must_use]
-pub(crate) fn hash_program(program: &Program) -> u128 {
-    let mut h = ProgramHash::new();
-    for inst in &program.code {
-        h.write(inst.op as u64);
-        h.write(reg_code(inst.rd));
-        h.write(reg_code(inst.rs));
-        h.write(reg_code(inst.rt));
-        h.write(inst.imm as u32 as u64);
-        h.write(u64::from(inst.target));
-    }
-    h.finish()
-}
-
-fn reg_code(r: Option<Reg>) -> u64 {
-    match r {
-        None => 0x8000,
-        Some(Reg::Int(i)) => i.index() as u64,
-        Some(Reg::Fp(f)) => 0x100 + f.index() as u64,
-    }
-}
-
-struct ProgramHash {
-    lo: u64,
-    hi: u64,
-}
-
-impl ProgramHash {
-    fn new() -> ProgramHash {
-        ProgramHash {
-            lo: 0xcbf2_9ce4_8422_2325,
-            hi: 0x6c62_272e_07bb_0142,
-        }
-    }
-
-    fn write(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.lo = (self.lo ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3);
-            self.hi = (self.hi ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_0163);
-        }
-    }
-
-    fn finish(&self) -> u128 {
-        (u128::from(self.hi) << 64) | u128::from(self.lo)
-    }
-}
-
-/// Threads one instruction: unused operand slots fall back to `$0`
+/// Resolves one instruction's operands: unused slots fall back to `$0`
 /// (reads zero, writes discard), which matches `Machine::exec`'s
 /// semantics for every opcode that can reach execution — including
 /// `Halt`, whose optional `rs` defaults to exit code 0.
-fn thread_inst(inst: &Inst) -> XInst {
+fn operands(inst: &Inst) -> XInst {
     const Z: Reg = Reg::Int(IntReg::ZERO);
     XInst {
-        run: handler_for(inst.op),
         a: inst.rs.unwrap_or(Z),
         b: inst.rt.unwrap_or(Z),
         d: inst.rd.unwrap_or(Z),
@@ -443,125 +369,99 @@ fn h_halt(m: &mut Machine, x: &XInst, _pc: u32) -> Result<Step, ExecError> {
     Ok(Step::Halt(m.geti(x.a)))
 }
 
-/// The opcode → handler table, written once and expanded two ways:
-/// [`handler_for`] materializes it as function pointers for the
-/// direct-threaded functional loop, and [`exec_pre`] expands it as a
-/// match of direct calls for the timing simulator's oracle step, where
-/// the calls inline and the per-instruction pointer-call overhead is
-/// measurable.
-macro_rules! for_each_op {
-    ($op:expr, $with:ident) => {{
-        use Op::*;
-        match $op {
-            Add | AddA => $with!(h_add),
-            Sub | SubA => $with!(h_sub),
-            And | AndA => $with!(h_and),
-            Or | OrA => $with!(h_or),
-            Xor | XorA => $with!(h_xor),
-            Nor => $with!(h_nor),
-            Slt | SltA => $with!(h_slt),
-            Sltu | SltuA => $with!(h_sltu),
-            Sll | SllA => $with!(h_sll),
-            Srl | SrlA => $with!(h_srl),
-            Sra | SraA => $with!(h_sra),
-            Addi | AddiA => $with!(h_addi),
-            Andi | AndiA => $with!(h_andi),
-            Ori | OriA => $with!(h_ori),
-            Xori | XoriA => $with!(h_xori),
-            Slti | SltiA => $with!(h_slti),
-            Sltiu | SltiuA => $with!(h_sltiu),
-            Slli | SlliA => $with!(h_slli),
-            Srli | SrliA => $with!(h_srli),
-            Srai | SraiA => $with!(h_srai),
-            Li | LiA => $with!(h_li),
-            Move => $with!(h_move),
-            Mul => $with!(h_mul),
-            Div => $with!(h_div),
-            Rem => $with!(h_rem),
-            Lw | Lwf => $with!(h_lw),
-            Lb => $with!(h_lb),
-            Lbu => $with!(h_lbu),
-            Sw | Swf => $with!(h_sw),
-            Sb => $with!(h_sb),
-            Ld => $with!(h_ld),
-            Sd => $with!(h_sd),
-            Beqz | BeqzA => $with!(h_beqz),
-            Bnez | BnezA => $with!(h_bnez),
-            Beq => $with!(h_beq),
-            Bne => $with!(h_bne),
-            J => $with!(h_j),
-            Jal => $with!(h_jal),
-            Jr => $with!(h_jr),
-            Jalr => $with!(h_jalr),
-            CpToFpa | CpToInt => $with!(h_move),
-            FaddD => $with!(h_faddd),
-            FsubD => $with!(h_fsubd),
-            FmulD => $with!(h_fmuld),
-            FdivD => $with!(h_fdivd),
-            FnegD => $with!(h_fnegd),
-            FmovD => $with!(h_fmovd),
-            CvtDW => $with!(h_cvtdw),
-            CvtWD => $with!(h_cvtwd),
-            CeqD => $with!(h_ceqd),
-            CltD => $with!(h_cltd),
-            CleD => $with!(h_cled),
-            Print => $with!(h_print),
-            PrintChar => $with!(h_print_char),
-            PrintFp => $with!(h_print_fp),
-            Halt => $with!(h_halt),
-        }
-    }};
-}
-
-fn handler_for(op: Op) -> Handler {
-    macro_rules! as_ptr {
-        ($h:ident) => {
-            $h
-        };
-    }
-    for_each_op!(op, as_ptr)
-}
-
-/// Executes one prepared instruction by matching on the opcode — the
-/// timing simulator's oracle step. Semantically identical to calling
-/// `x.run`; exists so the single hottest call site pays a jump table
-/// instead of an indirect call.
+/// Executes one decoded instruction: the opcode → handler table, shared
+/// by the functional loop and the timing simulator's oracle step. A
+/// match of direct calls, so the handlers inline and each step pays one
+/// jump table.
 #[inline(always)]
 pub(crate) fn exec_pre(m: &mut Machine, x: &XInst, op: Op, pc: u32) -> Result<Step, ExecError> {
-    macro_rules! call {
-        ($h:ident) => {
-            $h(m, x, pc)
-        };
+    use Op::*;
+    match op {
+        Add | AddA => h_add(m, x, pc),
+        Sub | SubA => h_sub(m, x, pc),
+        And | AndA => h_and(m, x, pc),
+        Or | OrA => h_or(m, x, pc),
+        Xor | XorA => h_xor(m, x, pc),
+        Nor => h_nor(m, x, pc),
+        Slt | SltA => h_slt(m, x, pc),
+        Sltu | SltuA => h_sltu(m, x, pc),
+        Sll | SllA => h_sll(m, x, pc),
+        Srl | SrlA => h_srl(m, x, pc),
+        Sra | SraA => h_sra(m, x, pc),
+        Addi | AddiA => h_addi(m, x, pc),
+        Andi | AndiA => h_andi(m, x, pc),
+        Ori | OriA => h_ori(m, x, pc),
+        Xori | XoriA => h_xori(m, x, pc),
+        Slti | SltiA => h_slti(m, x, pc),
+        Sltiu | SltiuA => h_sltiu(m, x, pc),
+        Slli | SlliA => h_slli(m, x, pc),
+        Srli | SrliA => h_srli(m, x, pc),
+        Srai | SraiA => h_srai(m, x, pc),
+        Li | LiA => h_li(m, x, pc),
+        Move => h_move(m, x, pc),
+        Mul => h_mul(m, x, pc),
+        Div => h_div(m, x, pc),
+        Rem => h_rem(m, x, pc),
+        Lw | Lwf => h_lw(m, x, pc),
+        Lb => h_lb(m, x, pc),
+        Lbu => h_lbu(m, x, pc),
+        Sw | Swf => h_sw(m, x, pc),
+        Sb => h_sb(m, x, pc),
+        Ld => h_ld(m, x, pc),
+        Sd => h_sd(m, x, pc),
+        Beqz | BeqzA => h_beqz(m, x, pc),
+        Bnez | BnezA => h_bnez(m, x, pc),
+        Beq => h_beq(m, x, pc),
+        Bne => h_bne(m, x, pc),
+        J => h_j(m, x, pc),
+        Jal => h_jal(m, x, pc),
+        Jr => h_jr(m, x, pc),
+        Jalr => h_jalr(m, x, pc),
+        CpToFpa | CpToInt => h_move(m, x, pc),
+        FaddD => h_faddd(m, x, pc),
+        FsubD => h_fsubd(m, x, pc),
+        FmulD => h_fmuld(m, x, pc),
+        FdivD => h_fdivd(m, x, pc),
+        FnegD => h_fnegd(m, x, pc),
+        FmovD => h_fmovd(m, x, pc),
+        CvtDW => h_cvtdw(m, x, pc),
+        CvtWD => h_cvtwd(m, x, pc),
+        CeqD => h_ceqd(m, x, pc),
+        CltD => h_cltd(m, x, pc),
+        CleD => h_cled(m, x, pc),
+        Print => h_print(m, x, pc),
+        PrintChar => h_print_char(m, x, pc),
+        PrintFp => h_print_fp(m, x, pc),
+        Halt => h_halt(m, x, pc),
     }
-    for_each_op!(op, call)
 }
 
-/// The functional simulator's fast path: direct-threaded execution over a
-/// prepared program, recording per-pc visit counts in `pc_counts`
+/// The functional simulator's fast path: [`exec_pre`] over a decoded
+/// program, recording per-pc visit counts in `pc_counts`
 /// (resized and zeroed here) from which the caller derives instruction
 /// mix and block counts. Behaviour, errors, and fuel semantics match
 /// `crate::func_sim::run_functional` exactly.
 pub(crate) fn run_functional_pre(
-    pre: &PreProgram,
+    decoded: &[PreInst],
     entry: u32,
     fuel: u64,
     m: &mut Machine,
     pc_counts: &mut Vec<u64>,
 ) -> Result<(i32, u64), ExecError> {
     pc_counts.clear();
-    pc_counts.resize(pre.pre.len(), 0);
+    pc_counts.resize(decoded.len(), 0);
     let mut pc = entry;
     let mut total = 0u64;
     loop {
         if total >= fuel {
             return Err(ExecError::OutOfFuel);
         }
-        let Some(p) = pre.pre.get(pc as usize) else {
+        let Some(p) = decoded.get(pc as usize) else {
             return Err(ExecError::BadPc { pc });
         };
         pc_counts[pc as usize] += 1;
         total += 1;
-        match (p.x.run)(m, &p.x, pc)? {
+        match exec_pre(m, &p.x, p.op, pc)? {
             Step::Next => pc += 1,
             Step::Jump(t) => pc = t,
             Step::Halt(code) => return Ok((code, total)),
@@ -616,8 +516,8 @@ mod tests {
                 m.fp_regs[3] = 5;
             }
             let via_exec = a.exec(&inst, 7);
-            let x = thread_inst(&inst);
-            let via_handler = (x.run)(&mut b, &x, 7);
+            let x = operands(&inst);
+            let via_handler = exec_pre(&mut b, &x, op, 7);
             assert_eq!(via_exec, via_handler, "{op:?} step/result");
             assert_eq!(a.int_regs, b.int_regs, "{op:?} int regs");
             assert_eq!(a.fp_regs, b.fp_regs, "{op:?} fp regs");
@@ -630,16 +530,5 @@ mod tests {
             );
             assert_eq!(a.output, b.output, "{op:?} output");
         }
-    }
-
-    #[test]
-    fn hash_is_content_addressed() {
-        let mut p1 = Program::new();
-        p1.code = vec![Inst::li(Op::Li, IntReg::new(8).into(), 1)];
-        let mut p2 = Program::new();
-        p2.code = vec![Inst::li(Op::Li, IntReg::new(8).into(), 1)];
-        assert_eq!(hash_program(&p1), hash_program(&p2));
-        p2.code[0].imm = 2;
-        assert_ne!(hash_program(&p1), hash_program(&p2));
     }
 }

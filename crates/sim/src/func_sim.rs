@@ -50,7 +50,8 @@ pub const DEFAULT_FUEL: u64 = 5_000_000_000;
 /// Runs `program` to completion.
 ///
 /// Uses the calling thread's shared [`crate::session::SimSession`]
-/// (direct-threaded dispatch over a cached pre-decoded program); see
+/// (the program decoded into the session's buffer, then run through one
+/// opcode dispatch table); see
 /// [`crate::SimSession::run_functional`] for explicit batched use.
 ///
 /// # Errors
@@ -121,13 +122,31 @@ mod tests {
         assert_eq!(run_functional(&p, 100).unwrap_err(), ExecError::OutOfFuel);
     }
 
+    /// A jump past the end faults even right after a longer program ran
+    /// on this thread's session: a decode buffer that kept the longer
+    /// program's tail would run its instruction 77 instead.
     #[test]
     fn bad_pc_detected() {
+        let r8: Reg = IntReg::new(8).into();
+        let mut long = Program::new();
+        long.stack_top = 0x1_0000;
+        long.code = vec![Inst::li(Op::Li, r8, 1); 77];
+        long.code.push(Inst {
+            rs: Some(r8),
+            ..Inst::bare(Op::Halt)
+        });
         let mut p = Program::new();
         p.stack_top = 0x1_0000;
         p.code = vec![Inst::jump(77)];
+        let cfg = crate::MachineConfig::four_way(false);
+        assert_eq!(run_functional(&long, 100).unwrap().exit_code, 1);
         assert!(matches!(
             run_functional(&p, 100).unwrap_err(),
+            ExecError::BadPc { pc: 77 }
+        ));
+        assert_eq!(crate::simulate(&long, &cfg, 10_000).unwrap().retired, 78);
+        assert!(matches!(
+            crate::simulate(&p, &cfg, 10_000).unwrap_err(),
             ExecError::BadPc { pc: 77 }
         ));
     }

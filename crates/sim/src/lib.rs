@@ -9,14 +9,17 @@
 //!   microarchitecture of the paper's Table 1: gshare branch prediction,
 //!   I/D caches, separate INT and FP issue windows and functional units,
 //!   register renaming, and in-order retirement. It runs the `*A`
-//!   opcodes on any machine: [`MachineConfig::augmented`] only names
-//!   the machine, so a binary times the same with it set or clear.
+//!   opcodes on any machine: the presets' augmented flag only sets
+//!   [`MachineConfig::name`], so a binary times the same on both.
 //!   Internally it runs a wakeup-driven fast path
 //!   (pre-decode, ready and store-barrier bitmasks, store-queue
 //!   forwarding, cycle skipping).
 //! * [`reference`](mod@reference) — the original full-window-rescan
 //!   timing engine, frozen as the behavioural spec the fast path is
 //!   proven against.
+//! * [`session`] — [`SimSession`], the reusable simulator state every
+//!   run goes through; each run decodes its program once into the
+//!   session's buffer and executes it through one opcode dispatch table.
 //! * [`config`] — machine parameter presets (4-way and 8-way, Table 1).
 //! * [`cache`] / [`predictor`] — the memory-hierarchy and branch-predictor
 //!   substrates.

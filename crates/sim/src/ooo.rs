@@ -28,9 +28,9 @@
 //! rather than the textbook full-window rescan (which survives, frozen,
 //! in [`crate::reference`] as the behavioural spec):
 //!
-//! * the static program is **pre-decoded** once into a `DecodedInst`
-//!   table, so per-fetch work is table lookups instead of `Vec`-returning
-//!   operand queries;
+//! * the static program is **pre-decoded** at the start of each run into
+//!   a `DecodedInst` table, so per-fetch work is table lookups instead of
+//!   `Vec`-returning operand queries;
 //! * every window entry carries an **outstanding-source counter**;
 //!   completions are bucketed by `done_at` and, when a bucket drains,
 //!   wake their dependents into a **ready bitmask** over ROB-relative
@@ -53,7 +53,7 @@
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
-use crate::dispatch::{DecodedInst, PreProgram};
+use crate::dispatch::{self, DecodedInst, PreInst};
 use crate::exec::{ExecError, Machine, Step};
 use crate::observe::{
     DispatchEvent, FetchEvent, InstEffect, IssueEvent, RetireEvent, SimObserver, StoreEffect,
@@ -455,17 +455,19 @@ impl FaultInjection {
 
 /// Arena-reused simulator state, owned by a [`crate::session::SimSession`]
 /// and threaded through every run: the architectural machine (register
-/// files + memory image), both cache tag arrays, the branch predictor,
-/// the in-flight entry slab with its waiter vectors, the completion heap,
-/// the store index, and the scratch buffers. Every piece is reset — not
-/// reallocated — at the top of [`simulate_core`], so steady-state
-/// simulation across cells allocates nothing. The machine's reset zeroes
-/// only the memory pages the previous run wrote (see
+/// files + memory image), the decoded program, both cache tag arrays, the
+/// branch predictor, the in-flight entry slab with its waiter vectors, the
+/// completion heap, the store index, and the scratch buffers. Every piece
+/// is reset — not reallocated — at the top of [`simulate_core`], so
+/// steady-state simulation across cells allocates nothing. The machine's
+/// reset zeroes only the memory pages the previous run wrote (see
 /// [`Machine::reset`]), so a short run costs microseconds whatever its
 /// address space.
 #[derive(Debug)]
 pub(crate) struct SessionBufs {
     pub(crate) machine: Machine,
+    /// The running program, decoded by [`dispatch::decode_into`].
+    pub(crate) decoded: Vec<PreInst>,
     icache: Option<Cache>,
     dcache: Option<Cache>,
     gshare: Option<Gshare>,
@@ -480,6 +482,7 @@ impl SessionBufs {
     pub(crate) fn new() -> SessionBufs {
         SessionBufs {
             machine: Machine::empty(),
+            decoded: Vec::new(),
             icache: None,
             dcache: None,
             gshare: None,
@@ -546,40 +549,43 @@ pub fn simulate_with_faults<O: SimObserver>(
     obs: &mut O,
     faults: FaultInjection,
 ) -> Result<TimingResult, ExecError> {
-    crate::session::with_session(|s| {
-        s.simulate_with_faults(program, config, max_cycles, obs, faults)
-    })
-}
-
-pub(crate) fn simulate_core<O: SimObserver>(
-    program: &Program,
-    pre: &PreProgram,
-    config: &MachineConfig,
-    max_cycles: u64,
-    obs: &mut O,
-    faults: FaultInjection,
-    bufs: &mut SessionBufs,
-) -> Result<TimingResult, ExecError> {
     if faults.any() {
         // Injected defects are expressed against the reference engine's
         // explicit full-window scan (and break the fast path's dense-seq
         // and wakeup bookkeeping by design).
-        return crate::reference::simulate_naive(program, config, max_cycles, obs, faults);
+        crate::reference::simulate_naive(program, config, max_cycles, obs, faults)
+    } else {
+        simulate_observed(program, config, max_cycles, obs)
     }
+}
+
+pub(crate) fn simulate_core<O: SimObserver>(
+    program: &Program,
+    config: &MachineConfig,
+    max_cycles: u64,
+    obs: &mut O,
+    bufs: &mut SessionBufs,
+) -> Result<TimingResult, ExecError> {
     if config.max_inflight > 64 {
         // The ready and store-barrier sets are `u64` bitmasks over the ROB
         // window, which both of the paper's machines (32- and 64-entry
         // ROBs) fit; a wider configuration runs on the reference engine,
         // which has no window bound.
-        return crate::reference::simulate_naive(program, config, max_cycles, obs, faults);
+        return crate::reference::simulate_naive(
+            program,
+            config,
+            max_cycles,
+            obs,
+            FaultInjection::default(),
+        );
     }
-    simulate_masked(program, pre, config, max_cycles, obs, bufs)
+    dispatch::decode_into(program, &mut bufs.decoded);
+    simulate_masked(program, config, max_cycles, obs, bufs)
 }
 
 #[allow(clippy::too_many_lines)]
 fn simulate_masked<O: SimObserver>(
     program: &Program,
-    pre: &PreProgram,
     config: &MachineConfig,
     max_cycles: u64,
     obs: &mut O,
@@ -589,7 +595,6 @@ fn simulate_masked<O: SimObserver>(
     // Every run starts from the architectural reset state; the session
     // buffers only save the allocations, never state, which the session
     // hygiene property test checks end to end.
-    let decoded = &pre.pre;
     bufs.machine.reset(program);
     match bufs.icache.as_mut() {
         Some(c) => c.reset(config.icache),
@@ -605,6 +610,7 @@ fn simulate_masked<O: SimObserver>(
     }
     bufs.completions.clear();
     bufs.stores.reset();
+    let decoded = &bufs.decoded;
     let oracle = &mut bufs.machine;
     let icache = bufs.icache.as_mut().expect("initialized above");
     let dcache = bufs.dcache.as_mut().expect("initialized above");
@@ -1024,8 +1030,8 @@ fn simulate_masked<O: SimObserver>(
                     } else {
                         None
                     };
-                    // Oracle-execute through the threaded handler.
-                    let step = crate::dispatch::exec_pre(oracle, x, pi.op, pc)?;
+                    // Oracle-execute through the dispatch table.
+                    let step = dispatch::exec_pre(oracle, x, pi.op, pc)?;
                     // Record the architectural effects for retire-time
                     // co-simulation (the store read-back is safe: exec
                     // just validated the address) — skipped entirely for

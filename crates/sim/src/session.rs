@@ -5,10 +5,10 @@
 //! a second machine the lockstep checker of [`SimSession::cosimulate`]
 //! borrows, cache tag arrays, branch-predictor counters, the in-flight
 //! entry slab with its waiter vectors, the completion heap, the store
-//! index, and a content-addressed cache of prepared programs (see
+//! index, and the decoded-program buffer each run refills (see
 //! `crate::dispatch`). Running many cells through one session costs
-//! zero steady-state allocation and decodes each distinct program once,
-//! no matter how many schemes, machine widths, or sweep points run it.
+//! zero steady-state allocation; each run decodes its program afresh,
+//! which costs less than recognising a program seen before.
 //!
 //! Both machines keep their memory across runs and zero only the 4 KiB
 //! pages the previous run wrote (see [`crate::Machine::reset`]), so a
@@ -30,24 +30,16 @@
 
 use crate::config::MachineConfig;
 use crate::cosim::{CosimObserver, CosimReport};
-use crate::dispatch::{self, PreProgram};
+use crate::dispatch;
 use crate::exec::{ExecError, Machine};
 use crate::func_sim::FuncSimResult;
 use crate::observe::{NullObserver, SimObserver};
-use crate::ooo::{self, FaultInjection, SessionBufs, TimingResult};
+use crate::ooo::{self, SessionBufs, TimingResult};
 use fpa_isa::Program;
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::rc::Rc;
 
-/// Prepared-program cache bound: past this many distinct programs the
-/// cache is emptied wholesale. Far above any experiment sweep (eight
-/// workloads × four schemes), it only triggers on fuzz campaigns, where
-/// every case is a fresh program and caching is moot anyway.
-const MAX_CACHED_PROGRAMS: usize = 192;
-
-/// A reusable simulation context: arena-style simulator state plus a
-/// shared pre-decoded program cache. See the [module docs](self).
+/// A reusable simulation context: arena-style simulator state. See the
+/// [module docs](self).
 ///
 /// Not `Sync`/`Send`-shareable — one session per thread; the harness's
 /// batch runner gives each worker its own.
@@ -55,7 +47,6 @@ pub struct SimSession {
     bufs: SessionBufs,
     /// The lockstep checker's machine, lent to each co-simulated run.
     checker: Machine,
-    programs: HashMap<u128, Rc<PreProgram>>,
 }
 
 impl SimSession {
@@ -65,7 +56,6 @@ impl SimSession {
         SimSession {
             bufs: SessionBufs::new(),
             checker: Machine::empty(),
-            programs: HashMap::new(),
         }
     }
 
@@ -75,22 +65,6 @@ impl SimSession {
     #[must_use]
     pub fn memory(&self) -> &[u8] {
         self.bufs.machine.memory()
-    }
-
-    /// Returns the prepared form of `program`, decoding it on first
-    /// sight and serving the cached table afterwards (content-addressed,
-    /// so the same program object or an equal clone both hit).
-    fn prepared(&mut self, program: &Program) -> Rc<PreProgram> {
-        let key = dispatch::hash_program(program);
-        if let Some(pre) = self.programs.get(&key) {
-            return Rc::clone(pre);
-        }
-        if self.programs.len() >= MAX_CACHED_PROGRAMS {
-            self.programs.clear();
-        }
-        let pre = Rc::new(dispatch::prepare(program));
-        self.programs.insert(key, Rc::clone(&pre));
-        pre
     }
 
     /// Session-backed [`crate::simulate`]: identical results, reused
@@ -120,44 +94,13 @@ impl SimSession {
         max_cycles: u64,
         obs: &mut O,
     ) -> Result<TimingResult, ExecError> {
-        let pre = self.prepared(program);
-        ooo::simulate_core(
-            program,
-            &pre,
-            config,
-            max_cycles,
-            obs,
-            FaultInjection::default(),
-            &mut self.bufs,
-        )
+        ooo::simulate_core(program, config, max_cycles, obs, &mut self.bufs)
     }
 
-    /// Session-backed [`crate::ooo::simulate_with_faults`].
-    #[doc(hidden)]
-    pub fn simulate_with_faults<O: SimObserver>(
-        &mut self,
-        program: &Program,
-        config: &MachineConfig,
-        max_cycles: u64,
-        obs: &mut O,
-        faults: FaultInjection,
-    ) -> Result<TimingResult, ExecError> {
-        let pre = self.prepared(program);
-        ooo::simulate_core(
-            program,
-            &pre,
-            config,
-            max_cycles,
-            obs,
-            faults,
-            &mut self.bufs,
-        )
-    }
-
-    /// Session-backed [`crate::run_functional`]: the direct-threaded
-    /// fast path over the prepared program, with the instruction-mix
-    /// counters derived from a flat visit-count array after the run
-    /// instead of per-instruction bookkeeping.
+    /// Session-backed [`crate::run_functional`]: the fast path over the
+    /// decoded program, with the instruction-mix counters derived from a
+    /// flat visit-count array after the run instead of per-instruction
+    /// bookkeeping.
     ///
     /// # Errors
     ///
@@ -167,26 +110,25 @@ impl SimSession {
         program: &Program,
         fuel: u64,
     ) -> Result<FuncSimResult, ExecError> {
-        let pre = self.prepared(program);
+        dispatch::decode_into(program, &mut self.bufs.decoded);
         self.bufs.machine.reset(program);
         let (exit_code, total) = dispatch::run_functional_pre(
-            &pre,
+            &self.bufs.decoded,
             program.entry,
             fuel,
             &mut self.bufs.machine,
             &mut self.bufs.pc_counts,
         )?;
-        let counts = &self.bufs.pc_counts;
         let mut fp_subsystem = 0u64;
         let mut augmented = 0u64;
         let mut copies = 0u64;
         let mut loads = 0u64;
         let mut stores = 0u64;
-        for (pc, &count) in counts.iter().enumerate() {
+        for (&count, p) in self.bufs.pc_counts.iter().zip(&self.bufs.decoded) {
             if count == 0 {
                 continue;
             }
-            let d = &pre.pre[pc].d;
+            let d = &p.d;
             if d.subsystem == fpa_isa::Subsystem::Fp {
                 fp_subsystem += count;
             }
@@ -255,9 +197,7 @@ impl Default for SimSession {
 
 impl std::fmt::Debug for SimSession {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SimSession")
-            .field("cached_programs", &self.programs.len())
-            .finish_non_exhaustive()
+        f.debug_struct("SimSession").finish_non_exhaustive()
     }
 }
 
@@ -449,9 +389,6 @@ mod tests {
                 .all(|&(_, off)| word((top as i32 + off) as usize)));
             assert!(word(CROSSING as usize + 2));
         }
-        // Four distinct programs decoded (the stack size is not part of
-        // a program's code), each exactly once.
-        assert_eq!(shared.programs.len(), 4);
     }
 
     #[test]
@@ -461,16 +398,5 @@ mod tests {
         assert_eq!(r.exit_code, 7);
         // 1 li + 10 × (addi, bnez) + li + halt.
         assert_eq!(r.total, 23);
-    }
-
-    #[test]
-    fn program_cache_is_bounded() {
-        let mut s = SimSession::new();
-        for i in 0..(MAX_CACHED_PROGRAMS as i32 + 10) {
-            // Distinct programs (different immediate) fill the cache.
-            let p = counting_program(i + 1);
-            s.run_functional(&p, 1 << 20).unwrap();
-        }
-        assert!(s.programs.len() <= MAX_CACHED_PROGRAMS);
     }
 }
