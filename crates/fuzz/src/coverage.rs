@@ -436,9 +436,8 @@ fn rdg_features(func: &Function, set: &mut BTreeSet<u64>) {
     }
 
     // Node-class histogram: bucketed count per class.
-    let classes = classify(func, &rdg);
     let mut hist = [0u64; 9];
-    for c in classes {
+    for &c in &classes {
         hist[class_code(c) as usize] += 1;
     }
     for (i, &n) in hist.iter().enumerate() {

@@ -14,7 +14,7 @@ use fpa_fuzz::oracle::COST_SWEEP;
 use fpa_fuzz::{case_seed, generate, GenConfig};
 use fpa_harness::Compiler;
 use fpa_ir::FuncId;
-use fpa_partition::{exhaustive_minimum, BlockFreq, CostModel, CostParams};
+use fpa_partition::{exhaustive_minimum, BlockFreq, CostModel, CostParams, FuncGraph};
 use fpa_testutil::Rng;
 
 /// Search-space cap: 2^20 assignments per function is the largest
@@ -31,7 +31,8 @@ fn check_program(case: u32, src: &str, params: &CostParams) -> u32 {
     let freq = BlockFreq::estimated(&module);
     let mut solved = 0;
     for (i, func) in module.funcs.iter().enumerate() {
-        let model = CostModel::build(func, freq.of_func(FuncId::new(i as u32)), params);
+        let graph = FuncGraph::build(func);
+        let model = CostModel::build(&graph, freq.of_func(FuncId::new(i as u32)), params);
         let Some(exact) = exhaustive_minimum(&model, MAX_GROUPS) else {
             continue;
         };

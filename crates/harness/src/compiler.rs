@@ -6,16 +6,17 @@
 //! stage sequence is written once, in two halves:
 //!
 //! - the **front half**, run once per source: parse → optimize → split
-//!   webs → verify → profile (every frontend execution is counted, see
+//!   webs → verify → profile → the partitioners' per-function graphs
+//!   ([`FuncGraph`]; every frontend execution is counted, see
 //!   [`frontend_runs`]);
-//! - the **back half**, run once per scheme: partition → verify → stats
-//!   → codegen.
+//! - the **back half**, run once per scheme on the front half's graphs:
+//!   partition → verify → stats → codegen.
 //!
 //! [`Compiler::build`] is one front half plus one back half,
 //! [`Compiler::build_suite`] one front half plus four, and
 //! [`SuiteArtifacts::rebuild`] one more back half on a suite's profiled
-//! module — which is how cost-parameter sweeps re-partition one profile
-//! without recompiling it.
+//! module (with its graphs built again) — which is how cost-parameter
+//! sweeps re-partition one profile without recompiling it.
 //!
 //! ```no_run
 //! use fpa_harness::compiler::{Compiler, Scheme};
@@ -32,8 +33,8 @@ use fpa_codegen::compile_module_timed;
 use fpa_ir::{Interp, Module, Profile};
 use fpa_isa::Program;
 use fpa_partition::{
-    partition_advanced, partition_basic, partition_optimal, Assignment, BlockFreq, CostParams,
-    PartitionStats,
+    partition_advanced_with, partition_basic_with, partition_optimal_with, Assignment, BlockFreq,
+    CostParams, FuncGraph, PartitionStats,
 };
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -215,8 +216,9 @@ pub struct StageTimings {
     pub optimize: Duration,
     /// The profiling interpreter run.
     pub profile: Duration,
-    /// Partitioning plus verification of the transformed module, summed
-    /// over the schemes built.
+    /// Building the partitioners' graphs once, plus partitioning and
+    /// verification of the transformed module summed over the schemes
+    /// built.
     pub partition: Duration,
     /// Register allocation across all programs built.
     pub regalloc: Duration,
@@ -370,6 +372,7 @@ impl SuiteArtifacts {
         let freq = BlockFreq::from_profile(&self.module, &self.profile);
         back(
             self.module.clone(),
+            &FuncGraph::build_all(&self.module),
             &freq,
             scheme,
             params,
@@ -464,6 +467,7 @@ impl<'a> Compiler<'a> {
         let front = front(self.src, &mut timings)?;
         let built = back(
             front.module,
+            &front.graphs,
             &front.freq,
             self.scheme,
             &self.params,
@@ -495,17 +499,21 @@ impl<'a> Compiler<'a> {
             module,
             profile,
             freq,
+            graphs,
             golden,
         } = front(self.src, &mut timings)?;
-        let p = &self.params;
         // The advanced and optimal schemes transform the module in place,
         // so each partitions its own clone; the conventional and basic
-        // builds share the untransformed module.
+        // builds share the untransformed module. All four read the graphs
+        // the front half built on it.
         let (for_advanced, for_optimal) = (module.clone(), module.clone());
-        let conventional = back(module, &freq, Scheme::Conventional, p, &mut timings)?;
-        let basic = back(conventional.module, &freq, Scheme::Basic, p, &mut timings)?;
-        let advanced = back(for_advanced, &freq, Scheme::Advanced, p, &mut timings)?;
-        let optimal = back(for_optimal, &freq, Scheme::Optimal, p, &mut timings)?;
+        let mut run = |module: Module, scheme: Scheme| {
+            back(module, &graphs, &freq, scheme, &self.params, &mut timings)
+        };
+        let conventional = run(module, Scheme::Conventional)?;
+        let basic = run(conventional.module, Scheme::Basic)?;
+        let advanced = run(for_advanced, Scheme::Advanced)?;
+        let optimal = run(for_optimal, Scheme::Optimal)?;
         Ok(SuiteArtifacts {
             conventional: conventional.program,
             basic: basic.program,
@@ -537,33 +545,41 @@ struct Profiled {
     profile: Profile,
     /// `profile` as the partitioners' block weights.
     freq: BlockFreq,
+    /// The partitioners' graph of each function of `module`.
+    graphs: Vec<FuncGraph>,
     /// The golden interpreter run.
     golden: fpa_ir::ExecOutcome,
 }
 
 /// The front half, run once per source: parse → optimize → split webs →
-/// verify → profile.
+/// verify → profile → graphs (charged to the partition stage).
 fn front(src: &str, timings: &mut StageTimings) -> Result<Profiled, Error> {
     let module = optimized_module(src, timings)?;
     let t = Instant::now();
     let (golden, profile) = Interp::new(&module).run().map_err(Error::Profile)?;
     timings.profile = t.elapsed();
     let freq = BlockFreq::from_profile(&module, &profile);
+    let t = Instant::now();
+    let graphs = FuncGraph::build_all(&module);
+    timings.partition += t.elapsed();
     Ok(Profiled {
         module,
         profile,
         freq,
+        graphs,
         golden,
     })
 }
 
 /// The back half, run once per scheme: partition → verify → stats →
 /// codegen, then a check that the binary's data fits below its stack
-/// top. Takes the optimized module by value and hands it back in the
-/// [`SchemeBuild`]: transformed by the advanced and optimal schemes,
-/// untouched by the conventional and basic ones.
+/// top. Takes the optimized module by value, with the graphs built on
+/// it, and hands it back in the [`SchemeBuild`]: transformed by the
+/// advanced and optimal schemes, untouched by the conventional and
+/// basic ones.
 fn back(
     mut module: Module,
+    graphs: &[FuncGraph],
     freq: &BlockFreq,
     scheme: Scheme,
     params: &CostParams,
@@ -572,9 +588,9 @@ fn back(
     let t = Instant::now();
     let assignment = match scheme {
         Scheme::Conventional => Assignment::conventional(&module),
-        Scheme::Basic => partition_basic(&module),
-        Scheme::Advanced => partition_advanced(&mut module, freq, params),
-        Scheme::Optimal => partition_optimal(&mut module, freq, params),
+        Scheme::Basic => partition_basic_with(graphs, &module),
+        Scheme::Advanced => partition_advanced_with(graphs, &mut module, freq, params),
+        Scheme::Optimal => partition_optimal_with(graphs, &mut module, freq, params),
     };
     if matches!(scheme, Scheme::Advanced | Scheme::Optimal) {
         fpa_ir::verify::verify_module(&module).map_err(Error::Verify)?;

@@ -235,19 +235,6 @@ impl Function {
             .map(|b| b.insts.len() + usize::from(b.term.id().is_some()))
             .sum()
     }
-
-    /// Finds the instruction with id `id`, if present.
-    #[must_use]
-    pub fn find_inst(&self, id: InstId) -> Option<(BlockId, usize)> {
-        for b in self.block_ids() {
-            for (i, inst) in self.block(b).insts.iter().enumerate() {
-                if inst.id() == id {
-                    return Some((b, i));
-                }
-            }
-        }
-        None
-    }
 }
 
 /// An initialized or zero-initialized global datum.
@@ -370,8 +357,6 @@ mod tests {
         });
         assert_eq!(f.insts().count(), 1);
         assert_eq!(f.static_size(), 2); // li + ret
-        assert_eq!(f.find_inst(id), Some((b0, 0)));
-        assert_eq!(f.find_inst(InstId::new(99)), None);
     }
 
     #[test]

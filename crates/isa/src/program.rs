@@ -85,24 +85,6 @@ impl Program {
             .map(|s| s.pc)
     }
 
-    /// The name of the function containing instruction index `pc`, if any.
-    ///
-    /// Functions are assumed contiguous: a function spans from its entry
-    /// symbol to the next function symbol.
-    #[must_use]
-    pub fn function_at(&self, pc: u32) -> Option<&str> {
-        let mut best: Option<(&Symbol, u32)> = None;
-        for s in &self.symbols {
-            if s.kind == SymbolKind::Function && s.pc <= pc {
-                match best {
-                    Some((_, bp)) if bp >= s.pc => {}
-                    _ => best = Some((s, s.pc)),
-                }
-            }
-        }
-        best.map(|(s, _)| s.name.as_str())
-    }
-
     /// Total static code size in instructions.
     #[must_use]
     pub fn static_size(&self) -> usize {
@@ -203,10 +185,6 @@ mod tests {
         assert_eq!(p.function_entry("main"), Some(0));
         assert_eq!(p.function_entry("helper"), Some(2));
         assert_eq!(p.function_entry("absent"), None);
-        assert_eq!(p.function_at(0), Some("main"));
-        assert_eq!(p.function_at(1), Some("main"));
-        assert_eq!(p.function_at(2), Some("helper"));
-        assert_eq!(p.function_at(3), Some("helper"));
     }
 
     #[test]

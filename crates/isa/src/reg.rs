@@ -224,15 +224,6 @@ impl Reg {
             Reg::Fp(_) => None,
         }
     }
-
-    /// The floating-point register, if this is one.
-    #[must_use]
-    pub fn as_fp(self) -> Option<FpReg> {
-        match self {
-            Reg::Fp(r) => Some(r),
-            Reg::Int(_) => None,
-        }
-    }
 }
 
 impl From<IntReg> for Reg {
@@ -314,9 +305,7 @@ mod tests {
     fn reg_conversions() {
         let r = Reg::from(IntReg::A0);
         assert_eq!(r.as_int(), Some(IntReg::A0));
-        assert_eq!(r.as_fp(), None);
         let f = Reg::from(FpReg::new(3));
         assert!(f.is_fp() && !f.is_int());
-        assert_eq!(f.as_fp(), Some(FpReg::new(3)));
     }
 }

@@ -24,9 +24,10 @@
 
 use crate::assignment::{Assignment, FuncAssignment};
 use crate::freq::BlockFreq;
+use crate::graph::FuncGraph;
 use fpa_ir::{BinOp, BlockId, FuncId, Function, Inst, InstId, Module, Terminator, Ty, VReg};
 use fpa_isa::Subsystem;
-use fpa_rdg::{classify, NodeClass, NodeId, NodeKind, PinReason, Rdg};
+use fpa_rdg::{NodeId, NodeKind};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 const EPS: f64 = 1e-9;
@@ -82,12 +83,40 @@ pub fn partition_advanced(
     freq: &BlockFreq,
     params: &CostParams,
 ) -> Assignment {
+    partition_advanced_with(&FuncGraph::build_all(module), module, freq, params)
+}
+
+/// [`partition_advanced`] over graphs already built for the
+/// unpartitioned `module` (one per function, as
+/// [`FuncGraph::build_all`] returns them).
+#[must_use]
+pub fn partition_advanced_with(
+    graphs: &[FuncGraph],
+    module: &mut Module,
+    freq: &BlockFreq,
+    params: &CostParams,
+) -> Assignment {
+    per_function(graphs, module, freq, params, partition_advanced_func)
+}
+
+/// Runs a profile-driven scheme over every function of `module` with
+/// that function's graph and block frequencies.
+pub(crate) fn per_function(
+    graphs: &[FuncGraph],
+    module: &mut Module,
+    freq: &BlockFreq,
+    params: &CostParams,
+    scheme: fn(&mut Function, &FuncGraph, &[f64], &CostParams) -> FuncAssignment,
+) -> Assignment {
     params.validate();
-    let mut funcs = Vec::with_capacity(module.funcs.len());
-    for (i, func) in module.funcs.iter_mut().enumerate() {
-        let fid = FuncId::new(i as u32);
-        funcs.push(partition_advanced_func(func, freq.of_func(fid), params));
-    }
+    assert_eq!(graphs.len(), module.funcs.len(), "one graph per function");
+    let funcs = module
+        .funcs
+        .iter_mut()
+        .zip(graphs)
+        .enumerate()
+        .map(|(i, (func, graph))| scheme(func, graph, freq.of_func(FuncId::new(i as u32)), params))
+        .collect();
     Assignment { funcs }
 }
 
@@ -98,25 +127,17 @@ pub(crate) enum Choice {
     Dup,
 }
 
-/// Runs the advanced scheme over one function.
+/// Runs the advanced scheme over one function, given the graph built on
+/// it before partitioning.
 #[must_use]
 pub fn partition_advanced_func(
     func: &mut Function,
+    graph: &FuncGraph,
     freq: &[f64],
     params: &CostParams,
 ) -> FuncAssignment {
-    let rdg = Rdg::build(func);
-    let classes = classify(func, &rdg);
+    let rdg = &graph.rdg;
     let nn = rdg.len();
-
-    let mut insts: HashMap<InstId, Inst> = HashMap::new();
-    for (_, inst) in func.insts() {
-        insts.insert(inst.id(), inst.clone());
-    }
-
-    let native = |v: NodeId| classes[v.index()] == NodeClass::NativeFp;
-    let pinned = |v: NodeId| matches!(classes[v.index()], NodeClass::PinnedInt(_));
-    let free = |v: NodeId| classes[v.index()] == NodeClass::Free;
 
     // Offloadable-instruction weight: only Plain nodes correspond to real
     // (ALU/branch) instructions; the two halves of a load or store execute
@@ -129,25 +150,11 @@ pub fn partition_advanced_func(
     };
     let nfreq = |v: NodeId| freq[rdg.block_of(v).index()];
 
-    // Value-producing destination of a node.
-    let dst_vreg = |v: NodeId| -> Option<VReg> {
-        match rdg.kind(v) {
-            NodeKind::Param(i) => Some(func.params[i]),
-            NodeKind::LoadValue(id) | NodeKind::Plain(id) => insts.get(&id).and_then(Inst::dst),
-            _ => None,
-        }
-    };
-    let mut defs_of_vreg: HashMap<VReg, Vec<NodeId>> = HashMap::new();
-    for v in rdg.node_ids() {
-        if let Some(w) = dst_vreg(v) {
-            defs_of_vreg.entry(w).or_default().push(v);
-        }
-    }
-
     // ---- Initial assignment --------------------------------------------
-    let mut side: Vec<Subsystem> = (0..nn)
-        .map(|i| {
-            if pinned(NodeId::new(i as u32)) {
+    let mut side: Vec<Subsystem> = rdg
+        .node_ids()
+        .map(|v| {
+            if graph.pinned(v) {
                 Subsystem::Int
             } else {
                 Subsystem::Fp
@@ -160,20 +167,18 @@ pub fn partition_advanced_func(
     let move_to_int = |side: &mut Vec<Subsystem>, seeds: &[NodeId]| {
         let mut work: VecDeque<NodeId> = seeds.iter().copied().collect();
         while let Some(v) = work.pop_front() {
-            if native(v) || side[v.index()] == Subsystem::Int {
+            if graph.native(v) || side[v.index()] == Subsystem::Int {
                 continue;
             }
             side[v.index()] = Subsystem::Int;
             for &p in rdg.preds(v) {
-                if free(p) && side[p.index()] == Subsystem::Fp {
+                if graph.free(p) && side[p.index()] == Subsystem::Fp {
                     work.push_back(p);
                 }
             }
-            if let Some(w) = dst_vreg(v) {
-                for &sib in &defs_of_vreg[&w] {
-                    if free(sib) && side[sib.index()] == Subsystem::Fp {
-                        work.push_back(sib);
-                    }
+            for &sib in graph.siblings(v) {
+                if graph.free(sib) && side[sib.index()] == Subsystem::Fp {
+                    work.push_back(sib);
                 }
             }
         }
@@ -181,38 +186,19 @@ pub fn partition_advanced_func(
 
     // LdSt slice -> INT (all memory addresses are ultimately needed in the
     // INT subsystem, §4).
-    let addr_seeds: Vec<NodeId> = rdg
-        .node_ids()
-        .filter(|&v| matches!(rdg.kind(v), NodeKind::LoadAddr(_) | NodeKind::StoreAddr(_)))
-        .flat_map(|v| rdg.backward_slice(v))
-        .filter(|&v| free(v))
-        .collect();
+    let addr_seeds: Vec<NodeId> = rdg.node_ids().filter(|&v| graph.addr_pinned(v)).collect();
     move_to_int(&mut side, &addr_seeds);
-
-    // Whether a node's value feeds a pinned-INT consumer needing it in an
-    // integer register (actual parameters, return values, printed values,
-    // multiply/divide operands) — §6.4's FPa->INT copy sites.
-    let feeds_pinned_int = |v: NodeId| -> bool {
-        rdg.succs(v).iter().any(|&c| {
-            matches!(
-                classes[c.index()],
-                NodeClass::PinnedInt(
-                    PinReason::Call | PinReason::Return | PinReason::Io | PinReason::MulDiv
-                )
-            )
-        })
-    };
 
     let copy_cost = |v: NodeId| params.o_copy * nfreq(v);
     // One-level duplication estimate used during phase 1 (the full §6.2
     // fixpoint runs before phase 2).
     let comm_cost_est = |v: NodeId, side: &[Subsystem]| -> f64 {
-        if !dup_allowed(&rdg, &insts, v) {
+        if !graph.dup_allowed(v) {
             return copy_cost(v);
         }
         let mut dup = params.o_dupl * nfreq(v);
         for &p in rdg.preds(v) {
-            if !native(p) && side[p.index()] == Subsystem::Int {
+            if !graph.native(p) && side[p.index()] == Subsystem::Int {
                 dup += copy_cost(p);
             }
         }
@@ -222,9 +208,9 @@ pub fn partition_advanced_func(
     // ---- Phase 1: boundary expansion ------------------------------------
     let mut worklist: BTreeSet<NodeId> = BTreeSet::new();
     for v in rdg.node_ids() {
-        if side[v.index()] == Subsystem::Int && !native(v) {
+        if side[v.index()] == Subsystem::Int && !graph.native(v) {
             for &c in rdg.succs(v) {
-                if free(c) && side[c.index()] == Subsystem::Fp {
+                if graph.free(c) && side[c.index()] == Subsystem::Fp {
                     worklist.insert(c);
                 }
             }
@@ -235,14 +221,14 @@ pub fn partition_advanced_func(
         if !processed.insert(u) {
             continue;
         }
-        if side[u.index()] == Subsystem::Int || !free(u) {
+        if side[u.index()] == Subsystem::Int || !graph.free(u) {
             continue;
         }
         // P = FPa nodes in Backward_Slice(G, u).
         let p: Vec<NodeId> = rdg
             .backward_slice(u)
             .into_iter()
-            .filter(|&v| free(v) && side[v.index()] == Subsystem::Fp)
+            .filter(|&v| graph.free(v) && side[v.index()] == Subsystem::Fp)
             .collect();
         let mut in_p = vec![false; nn];
         for &v in &p {
@@ -251,14 +237,13 @@ pub fn partition_advanced_func(
         // loss to FPa if P is assigned to INT.
         let mut loss = 0.0;
         for &v in &p {
-            if feeds_pinned_int(v) {
+            if graph.feeds_pinned_int(v) {
                 loss -= copy_cost(v);
             } else {
                 loss += weight(v);
-                let has_fp_child_outside = rdg
-                    .succs(v)
-                    .iter()
-                    .any(|&c| free(c) && side[c.index()] == Subsystem::Fp && !in_p[c.index()]);
+                let has_fp_child_outside = rdg.succs(v).iter().any(|&c| {
+                    graph.free(c) && side[c.index()] == Subsystem::Fp && !in_p[c.index()]
+                });
                 if has_fp_child_outside {
                     loss += copy_cost(v);
                 }
@@ -269,7 +254,7 @@ pub fn partition_advanced_func(
         let mut q: BTreeSet<NodeId> = BTreeSet::new();
         for &v in &p {
             for &par in rdg.preds(v) {
-                if !native(par) && side[par.index()] == Subsystem::Int {
+                if !graph.native(par) && side[par.index()] == Subsystem::Int {
                     q.insert(par);
                 }
             }
@@ -279,7 +264,7 @@ pub fn partition_advanced_func(
                 .succs(qn)
                 .iter()
                 .copied()
-                .filter(|&c| free(c) && side[c.index()] == Subsystem::Fp)
+                .filter(|&c| graph.free(c) && side[c.index()] == Subsystem::Fp)
                 .collect();
             if !fp_children.is_empty() && fp_children.iter().all(|c| in_p[c.index()]) {
                 loss -= comm_cost_est(qn, &side);
@@ -289,7 +274,7 @@ pub fn partition_advanced_func(
             move_to_int(&mut side, &p);
             for &v in &p {
                 for &c in rdg.succs(v) {
-                    if free(c) && side[c.index()] == Subsystem::Fp {
+                    if graph.free(c) && side[c.index()] == Subsystem::Fp {
                         worklist.insert(c);
                     }
                 }
@@ -297,7 +282,8 @@ pub fn partition_advanced_func(
         } else if loss.abs() <= EPS {
             for &v in &p {
                 for &c in rdg.succs(v) {
-                    if free(c) && side[c.index()] == Subsystem::Fp && !processed.contains(&c) {
+                    if graph.free(c) && side[c.index()] == Subsystem::Fp && !processed.contains(&c)
+                    {
                         worklist.insert(c);
                     }
                 }
@@ -310,12 +296,12 @@ pub fn partition_advanced_func(
     for _ in 0..32 {
         let mut changed = false;
         for v in rdg.node_ids() {
-            if native(v) || side[v.index()] != Subsystem::Int || !dup_allowed(&rdg, &insts, v) {
+            if graph.native(v) || side[v.index()] != Subsystem::Int || !graph.dup_allowed(v) {
                 continue;
             }
             let mut cost = params.o_dupl * nfreq(v);
             for &p in rdg.preds(v) {
-                if native(p) || side[p.index()] == Subsystem::Fp {
+                if graph.native(p) || side[p.index()] == Subsystem::Fp {
                     continue;
                 }
                 cost += copy_cost(p).min(dupl_cost[p.index()]);
@@ -339,7 +325,7 @@ pub fn partition_advanced_func(
     let comm_cost = |v: NodeId| copy_cost(v).min(dupl_cost[v.index()]);
 
     // ---- Phase 2: per-component profit pruning ---------------------------
-    let (comp, ncomp) = rdg.components(|v| free(v) && side[v.index()] == Subsystem::Fp);
+    let (comp, ncomp) = rdg.components(|v| graph.free(v) && side[v.index()] == Subsystem::Fp);
     // Merge components fed by a common boundary definition: the shared
     // copy/duplicate result register connects them in the undirected graph
     // with tentative copies inserted.
@@ -352,7 +338,7 @@ pub fn partition_advanced_func(
         uf[x]
     }
     for v in rdg.node_ids() {
-        if native(v) || side[v.index()] != Subsystem::Int {
+        if graph.native(v) || side[v.index()] != Subsystem::Int {
             continue;
         }
         let mut first: Option<usize> = None;
@@ -382,14 +368,14 @@ pub fn partition_advanced_func(
         let root = find(&mut parent_uf, c);
         let e = profit.entry(root).or_insert(0.0);
         *e += weight(v);
-        if feeds_pinned_int(v) {
+        if graph.feeds_pinned_int(v) {
             *e -= copy_cost(v);
         }
         members.entry(root).or_default().push(v);
     }
     let mut counted: BTreeSet<NodeId> = BTreeSet::new();
     for v in rdg.node_ids() {
-        if native(v) || side[v.index()] != Subsystem::Int {
+        if graph.native(v) || side[v.index()] != Subsystem::Int {
             continue;
         }
         for &c in rdg.succs(v) {
@@ -418,7 +404,7 @@ pub fn partition_advanced_func(
         let total_weight: f64 = rdg.node_ids().map(weight).sum();
         let fp_weight = |side: &[Subsystem]| -> f64 {
             rdg.node_ids()
-                .filter(|&v| free(v) && side[v.index()] == Subsystem::Fp)
+                .filter(|&v| graph.free(v) && side[v.index()] == Subsystem::Fp)
                 .map(weight)
                 .sum()
         };
@@ -442,23 +428,7 @@ pub fn partition_advanced_func(
 
     // ---- Materialization --------------------------------------------------
     let choices: Vec<Choice> = rdg.node_ids().map(choice).collect();
-    materialize(func, &rdg, &classes, &side, &insts, &choices, &defs_of_vreg)
-}
-
-/// Whether `v`'s instruction may be cloned into the FP subsystem: pure,
-/// FPa-supported computation, or a load value (re-delivered via `l.w` into
-/// the FP file adjacent to the original, so no store can intervene).
-pub(crate) fn dup_allowed(rdg: &Rdg, insts: &HashMap<InstId, Inst>, v: NodeId) -> bool {
-    match rdg.kind(v) {
-        NodeKind::LoadValue(_) => true,
-        NodeKind::Plain(id) => match insts.get(&id) {
-            Some(Inst::Bin { op, .. }) => op.fpa_supported() && op.operand_ty() == Ty::Int,
-            Some(Inst::BinImm { op, .. }) => op.fpa_supported(),
-            Some(Inst::Li { .. } | Inst::La { .. } | Inst::Move { .. }) => true,
-            _ => false,
-        },
-        _ => false,
-    }
+    materialize(func, graph, &side, &choices)
 }
 
 /// Twin-register bookkeeping shared by materialization steps.
@@ -498,58 +468,24 @@ impl Twins {
 }
 
 /// Rewrites the function — inserting copies/duplicates and retargeting
-/// FPa-side uses — then derives the final assignment.
+/// FPa-side uses — then derives the final assignment. `graph` is the
+/// function's graph from before this rewrite.
 pub(crate) fn materialize(
     func: &mut Function,
-    rdg: &Rdg,
-    classes: &[NodeClass],
+    graph: &FuncGraph,
     side: &[Subsystem],
-    insts: &HashMap<InstId, Inst>,
     choices: &[Choice],
-    defs_of_vreg: &HashMap<VReg, Vec<NodeId>>,
 ) -> FuncAssignment {
-    // Final home of each original vreg: FP iff typed double, or an integer
-    // register whose value-producing defs all landed on the FP side.
-    let mut home: Vec<Subsystem> = (0..func.num_vregs())
-        .map(|i| {
-            let v = VReg::new(i as u32);
-            if func.vreg_ty(v) == Ty::Double {
-                return Subsystem::Fp;
-            }
-            match defs_of_vreg.get(&v) {
-                Some(defs) if !defs.is_empty() => {
-                    if defs.iter().all(|&d| side[d.index()] == Subsystem::Fp) {
-                        Subsystem::Fp
-                    } else {
-                        Subsystem::Int
-                    }
-                }
-                _ => Subsystem::Int,
-            }
-        })
-        .collect();
-
-    // The side each instruction ends on (value side for loads/stores).
-    let mut inst_side: HashMap<InstId, Subsystem> = HashMap::new();
-    for (_, inst) in func.insts() {
-        let s = match inst {
-            Inst::Load { .. } => side[rdg.node(NodeKind::LoadValue(inst.id())).unwrap().index()],
-            Inst::Store { .. } => side[rdg.node(NodeKind::StoreValue(inst.id())).unwrap().index()],
-            _ => side[rdg.node(NodeKind::Plain(inst.id())).unwrap().index()],
-        };
-        inst_side.insert(inst.id(), s);
-    }
-    for b in func.block_ids() {
-        match &func.block(b).term {
-            Terminator::Br { id, .. } => {
-                inst_side.insert(*id, side[rdg.node(NodeKind::Plain(*id)).unwrap().index()]);
-            }
-            Terminator::Ret { id, .. } => {
-                inst_side.insert(*id, Subsystem::Int);
-            }
-            Terminator::Jump { .. } => {}
-        }
-    }
+    let FuncGraph {
+        rdg,
+        insts,
+        defs_of_vreg,
+        ..
+    } = graph;
+    // Final home of each original vreg, and the side each instruction
+    // ends on (the value side for loads and stores).
+    let mut home = graph.homes(func, side);
+    let mut inst_side = graph.inst_sides(func, side);
 
     // ---- Discover communication needs in program order --------------------
     let mut twins = Twins {
@@ -639,9 +575,9 @@ pub(crate) fn materialize(
                     kind => {
                         let anchor = kind.inst().expect("non-param def has an instruction");
                         let dup_ok = side[d.index()] == Subsystem::Int
-                            && classes[d.index()] == NodeClass::Free
+                            && graph.free(d)
                             && choices[d.index()] == Choice::Dup
-                            && dup_allowed(rdg, insts, d);
+                            && graph.dup_allowed(d);
                         if dup_ok {
                             let dup =
                                 clone_for_fpa(func, &insts[&anchor], wf, &mut home, &mut twins);
@@ -905,6 +841,12 @@ mod tests {
             .collect()
     }
 
+    /// The advanced scheme on one function, with its graph built here.
+    fn advanced(func: &mut Function, freq: &[f64], params: &CostParams) -> FuncAssignment {
+        let graph = FuncGraph::build(func);
+        partition_advanced_func(func, &graph, freq, params)
+    }
+
     /// Mechanism-pinning cost parameters (the aggressive end of the
     /// paper's ranges; the library default is calibrated separately).
     fn test_params() -> CostParams {
@@ -920,7 +862,7 @@ mod tests {
         let mut m = figure5_module();
         let (golden, _) = Interp::new(&m).run().unwrap();
         let freq = uniform_freq(&m.funcs[0], 100.0);
-        let a = partition_advanced_func(&mut m.funcs[0], &freq, &test_params());
+        let a = advanced(&mut m.funcs[0], &freq, &test_params());
         fpa_ir::verify::verify_module(&m).unwrap();
         // Semantics preserved.
         let (out, _) = Interp::new(&m).run().unwrap();
@@ -956,7 +898,7 @@ mod tests {
         let mut m = figure5_module();
         let before: usize = m.funcs[0].blocks.iter().map(|b| b.insts.len()).sum();
         let freq = vec![0.001; m.funcs[0].blocks.len()];
-        let a = partition_advanced_func(&mut m.funcs[0], &freq, &test_params());
+        let a = advanced(&mut m.funcs[0], &freq, &test_params());
         let after: usize = m.funcs[0].blocks.iter().map(|b| b.insts.len()).sum();
         assert_eq!(before, after, "no copies for cold code");
         let f = &m.funcs[0];
@@ -1014,7 +956,7 @@ mod tests {
             .map(|f| f.block_ids().map(|_| 50.0).collect())
             .collect();
         for (i, f) in m.funcs.iter_mut().enumerate() {
-            let _ = partition_advanced_func(f, &freqs[i], &CostParams::default());
+            let _ = advanced(f, &freqs[i], &CostParams::default());
         }
         fpa_ir::verify::verify_module(&m).unwrap();
         let (out, _) = Interp::new(&m).run().unwrap();
@@ -1043,7 +985,7 @@ mod tests {
     fn advanced_beats_basic_on_figure5() {
         use crate::basic::partition_basic_func;
         let m0 = figure5_module();
-        let basic = partition_basic_func(&m0.funcs[0]);
+        let basic = partition_basic_func(&m0.funcs[0], &FuncGraph::build(&m0.funcs[0]));
         let basic_fp = m0.funcs[0]
             .insts()
             .filter(|(_, i)| {
@@ -1054,7 +996,7 @@ mod tests {
 
         let mut m1 = figure5_module();
         let freq = uniform_freq(&m1.funcs[0], 100.0);
-        let adv = partition_advanced_func(&mut m1.funcs[0], &freq, &test_params());
+        let adv = advanced(&mut m1.funcs[0], &freq, &test_params());
         let adv_fp = m1.funcs[0]
             .insts()
             .filter(|(_, i)| {

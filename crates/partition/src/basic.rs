@@ -9,10 +9,10 @@
 //! through existing loads and stores.
 
 use crate::assignment::{Assignment, FuncAssignment};
-use fpa_ir::{Function, Inst, Module, Terminator, Ty, VReg};
+use crate::graph::FuncGraph;
+use fpa_ir::{Function, Module};
 use fpa_isa::Subsystem;
-use fpa_rdg::{classify, NodeClass, NodeKind, Rdg};
-use std::collections::HashMap;
+use fpa_rdg::NodeClass;
 
 /// Runs the basic scheme over a whole module.
 ///
@@ -20,17 +20,28 @@ use std::collections::HashMap;
 /// returned [`Assignment`] records the chosen sides.
 #[must_use]
 pub fn partition_basic(module: &Module) -> Assignment {
+    partition_basic_with(&FuncGraph::build_all(module), module)
+}
+
+/// [`partition_basic`] over graphs already built for `module` (one per
+/// function, as [`FuncGraph::build_all`] returns them).
+#[must_use]
+pub fn partition_basic_with(graphs: &[FuncGraph], module: &Module) -> Assignment {
+    assert_eq!(graphs.len(), module.funcs.len(), "one graph per function");
     Assignment {
-        funcs: module.funcs.iter().map(partition_basic_func).collect(),
+        funcs: module
+            .funcs
+            .iter()
+            .zip(graphs)
+            .map(|(func, graph)| partition_basic_func(func, graph))
+            .collect(),
     }
 }
 
-/// Runs the basic scheme over one function.
+/// Runs the basic scheme over one function, given its graph.
 #[must_use]
-pub fn partition_basic_func(func: &Function) -> FuncAssignment {
-    let rdg = Rdg::build(func);
-    let classes = classify(func, &rdg);
-
+pub fn partition_basic_func(func: &Function, graph: &FuncGraph) -> FuncAssignment {
+    let FuncGraph { rdg, classes, .. } = graph;
     // Connected components over everything that is not natively FP.
     let (comp, ncomp) = rdg.components(|n| classes[n.index()] != NodeClass::NativeFp);
 
@@ -54,76 +65,17 @@ pub fn partition_basic_func(func: &Function) -> FuncAssignment {
         })
         .collect();
 
-    assignment_from_sides(func, &rdg, &side)
-}
-
-/// Derives the codegen-facing assignment from per-node sides.
-pub(crate) fn assignment_from_sides(
-    func: &Function,
-    rdg: &Rdg,
-    side: &[Subsystem],
-) -> FuncAssignment {
-    let side_of = |k: NodeKind| side[rdg.node(k).expect("node exists").index()];
-    let mut inst_side = HashMap::new();
-    for (_, inst) in func.insts() {
-        let s = match inst {
-            Inst::Load { .. } => side_of(NodeKind::LoadValue(inst.id())),
-            Inst::Store { .. } => side_of(NodeKind::StoreValue(inst.id())),
-            _ => side_of(NodeKind::Plain(inst.id())),
-        };
-        inst_side.insert(inst.id(), s);
-    }
-    for b in func.block_ids() {
-        match &func.block(b).term {
-            Terminator::Br { id, .. } => {
-                inst_side.insert(*id, side_of(NodeKind::Plain(*id)));
-            }
-            Terminator::Ret { id, .. } => {
-                inst_side.insert(*id, Subsystem::Int);
-            }
-            Terminator::Jump { .. } => {}
-        }
-    }
-
-    // Home file per vreg: doubles live in FP; an integer vreg lives in FP
-    // only if every definition's value lands there.
-    let mut vreg_side: Vec<Subsystem> = (0..func.num_vregs())
-        .map(|i| match func.vreg_ty(VReg::new(i as u32)) {
-            Ty::Int => Subsystem::Fp, // refined below; params force INT
-            Ty::Double => Subsystem::Fp,
-        })
-        .collect();
-    let mut has_def = vec![false; func.num_vregs()];
-    for &p in &func.params {
-        if func.vreg_ty(p) == Ty::Int {
-            vreg_side[p.index()] = Subsystem::Int;
-        }
-        has_def[p.index()] = true;
-    }
-    for (_, inst) in func.insts() {
-        if let Some(d) = inst.dst() {
-            has_def[d.index()] = true;
-            if func.vreg_ty(d) == Ty::Int && inst_side[&inst.id()] == Subsystem::Int {
-                vreg_side[d.index()] = Subsystem::Int;
-            }
-        }
-    }
-    // Undefined (never-written) integer registers default to INT.
-    for (i, d) in has_def.iter().enumerate() {
-        if !d && func.vreg_ty(VReg::new(i as u32)) == Ty::Int {
-            vreg_side[i] = Subsystem::Int;
-        }
-    }
     FuncAssignment {
-        inst_side,
-        vreg_side,
+        inst_side: graph.inst_sides(func, &side),
+        vreg_side: graph.homes(func, &side),
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpa_ir::{BinOp, FunctionBuilder, MemWidth};
+    use fpa_ir::{BinOp, FunctionBuilder, Inst, MemWidth, Terminator, Ty};
+    use fpa_rdg::NodeKind;
 
     /// Figure 3/4 in miniature: a loop whose induction variable feeds
     /// addressing (INT) and a store-value chain disjoint from addressing
@@ -167,7 +119,7 @@ mod tests {
     #[test]
     fn offloads_disjoint_store_value_chain() {
         let (f, offload_ids) = figure4_like();
-        let a = partition_basic_func(&f);
+        let a = partition_basic_func(&f, &FuncGraph::build(&f));
         for id in &offload_ids {
             assert_eq!(a.side(*id), Subsystem::Fp, "{id} should be offloaded");
         }
@@ -176,7 +128,7 @@ mod tests {
     #[test]
     fn keeps_address_chain_and_branch_in_int() {
         let (f, _) = figure4_like();
-        let a = partition_basic_func(&f);
+        let a = partition_basic_func(&f, &FuncGraph::build(&f));
         // The induction variable's web (li, add, move) feeds addressing ->
         // INT; the loop branch slice shares the induction variable -> INT.
         for (_, inst) in f.insts() {
@@ -200,9 +152,9 @@ mod tests {
         // §5.1: no FPa node may have an INT node in its backward or
         // forward slice.
         let (f, _) = figure4_like();
-        let a = partition_basic_func(&f);
-        let rdg = Rdg::build(&f);
-        let classes = classify(&f, &rdg);
+        let graph = FuncGraph::build(&f);
+        let a = partition_basic_func(&f, &graph);
+        let FuncGraph { rdg, classes, .. } = &graph;
         let node_side = |n: fpa_rdg::NodeId| match rdg.kind(n) {
             NodeKind::LoadValue(id) | NodeKind::StoreValue(id) | NodeKind::Plain(id) => {
                 a.inst_side.get(&id).copied()
@@ -243,7 +195,7 @@ mod tests {
         let a2 = b.bin(BinOp::Xor, seed, a1);
         b.ret(Some(a2));
         let f = b.finish();
-        let a = partition_basic_func(&f);
+        let a = partition_basic_func(&f, &FuncGraph::build(&f));
         // ... but here the whole chain feeds the RETURN VALUE, which is
         // pinned; with no copies available, the basic scheme keeps it INT.
         for (_, inst) in f.insts() {
@@ -278,7 +230,7 @@ mod tests {
         b.switch_to(exit);
         b.ret(None);
         let f = b.finish();
-        let a = partition_basic_func(&f);
+        let a = partition_basic_func(&f, &FuncGraph::build(&f));
         for b_ in f.block_ids() {
             if let Terminator::Br { id, .. } = f.block(b_).term {
                 assert_eq!(a.side(id), Subsystem::Fp, "branch should offload");

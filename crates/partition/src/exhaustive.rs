@@ -20,7 +20,7 @@
 use crate::assignment::FuncAssignment;
 use crate::optimal::CostModel;
 use fpa_isa::Subsystem;
-use fpa_rdg::{NodeClass, NodeId};
+use fpa_rdg::NodeId;
 use std::collections::HashMap;
 
 /// The exhaustive-enumeration result.
@@ -40,10 +40,10 @@ pub struct Exhaustive {
 /// remain after pinning (the search space would exceed `2^max_groups`).
 #[must_use]
 pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhaustive> {
-    let rdg = &model.rdg;
+    let graph = model.graph;
+    let rdg = &graph.rdg;
     let nn = rdg.len();
-    let free = |v: NodeId| model.classes[v.index()] == NodeClass::Free;
-    let native = |v: NodeId| model.classes[v.index()] == NodeClass::NativeFp;
+    let group = |v: NodeId| model.group_rep[v.index()];
 
     // ---- Fix groups that cannot be FPa ----------------------------------
     // Seed: any group with an address-pinned member. Propagate: a free
@@ -51,20 +51,20 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
     // forbids an FPa producer feeding an INT consumer).
     let mut fixed: HashMap<NodeId, bool> = HashMap::new();
     for v in rdg.node_ids() {
-        if free(v) {
-            let e = fixed.entry(model.group_of(v)).or_insert(false);
-            *e |= model.addr_pinned(v);
+        if graph.free(v) {
+            let e = fixed.entry(group(v)).or_insert(false);
+            *e |= graph.addr_pinned(v);
         }
     }
     loop {
         let mut changed = false;
         for p in rdg.node_ids() {
-            if !free(p) || fixed[&model.group_of(p)] {
+            if !graph.free(p) || fixed[&group(p)] {
                 continue;
             }
             for &c in rdg.succs(p) {
-                if free(c) && fixed[&model.group_of(c)] {
-                    fixed.insert(model.group_of(p), true);
+                if graph.free(c) && fixed[&group(c)] {
+                    fixed.insert(group(p), true);
                     changed = true;
                     break;
                 }
@@ -78,9 +78,9 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
     // ---- Index the variable groups --------------------------------------
     let mut index: HashMap<NodeId, usize> = HashMap::new();
     for v in rdg.node_ids() {
-        if free(v) && !fixed[&model.group_of(v)] {
+        if graph.free(v) && !fixed[&group(v)] {
             let next = index.len();
-            index.entry(model.group_of(v)).or_insert(next);
+            index.entry(group(v)).or_insert(next);
         }
     }
     let k = index.len();
@@ -90,8 +90,8 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
         return None;
     }
     let bit_of = |v: NodeId| -> Option<u32> {
-        if free(v) && !fixed[&model.group_of(v)] {
-            Some(index[&model.group_of(v)] as u32)
+        if graph.free(v) && !fixed[&group(v)] {
+            Some(index[&group(v)] as u32)
         } else {
             None
         }
@@ -106,13 +106,13 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
     for v in rdg.node_ids() {
         match bit_of(v) {
             Some(g) => {
-                w[g as usize] += model.weight_of(v);
-                if model.feeds_pinned_int(v) {
-                    cc[g as usize] += model.copy_of(v);
+                w[g as usize] += model.weight[v.index()];
+                if graph.feeds_pinned_int(v) {
+                    cc[g as usize] += model.copy[v.index()];
                 }
             }
-            None if free(v) => base += model.weight_of(v),
-            None if native(v) && model.feeds_pinned_int(v) => base += model.copy_of(v),
+            None if graph.free(v) => base += model.weight[v.index()],
+            None if graph.native(v) && graph.feeds_pinned_int(v) => base += model.copy[v.index()],
             None => {}
         }
     }
@@ -129,7 +129,7 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
     }
     let mut producers: Vec<Producer> = Vec::new();
     for v in rdg.node_ids() {
-        if free(v) {
+        if graph.free(v) {
             if let Some(gp) = bit_of(v) {
                 for &c in rdg.succs(v) {
                     if let Some(gc) = bit_of(c) {
@@ -138,7 +138,7 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
                 }
             }
         }
-        if native(v) || model.comm_of(v) == 0 {
+        if graph.native(v) || model.comm[v.index()] == 0 {
             continue;
         }
         let mut succ_mask = 0u32;
@@ -151,7 +151,7 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
             producers.push(Producer {
                 group: bit_of(v),
                 succ_mask,
-                comm: model.comm_of(v),
+                comm: model.comm[v.index()],
             });
         }
     }
@@ -192,7 +192,7 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
     let side: Vec<Subsystem> = (0..nn)
         .map(|i| {
             let v = NodeId::new(i as u32);
-            if native(v) {
+            if graph.native(v) {
                 Subsystem::Fp
             } else {
                 match bit_of(v) {
@@ -227,6 +227,7 @@ mod tests {
     use super::*;
     use crate::advanced::CostParams;
     use crate::basic::partition_basic_func;
+    use crate::graph::FuncGraph;
     use fpa_ir::{BinOp, FunctionBuilder, MemWidth, Ty};
 
     fn params() -> CostParams {
@@ -278,9 +279,10 @@ mod tests {
     #[test]
     fn min_cut_matches_exhaustive_on_small_func() {
         let f = small_func();
+        let graph = FuncGraph::build(&f);
         for lw in [0.5, 2.0, 25.0, 400.0] {
             let freq = loop_freq(&f, lw);
-            let model = CostModel::build(&f, &freq, &params());
+            let model = CostModel::build(&graph, &freq, &params());
             let cut = model.min_cut();
             let truth = exhaustive_minimum(&model, 16).expect("small function enumerates");
             assert_eq!(
@@ -295,18 +297,20 @@ mod tests {
     #[test]
     fn exhaustive_dominates_basic_here() {
         let f = small_func();
+        let graph = FuncGraph::build(&f);
         let freq = loop_freq(&f, 100.0);
-        let model = CostModel::build(&f, &freq, &params());
+        let model = CostModel::build(&graph, &freq, &params());
         let truth = exhaustive_minimum(&model, 16).unwrap();
-        let basic_cost = assignment_cost(&model, &partition_basic_func(&f));
+        let basic_cost = assignment_cost(&model, &partition_basic_func(&f, &graph));
         assert!(truth.cost <= basic_cost);
     }
 
     #[test]
     fn refuses_oversized_search_spaces() {
         let f = small_func();
+        let graph = FuncGraph::build(&f);
         let freq = loop_freq(&f, 10.0);
-        let model = CostModel::build(&f, &freq, &params());
+        let model = CostModel::build(&graph, &freq, &params());
         let truth = exhaustive_minimum(&model, 16).unwrap();
         assert!(truth.free_groups > 0, "the test function has free groups");
         assert!(exhaustive_minimum(&model, truth.free_groups as u32 - 1).is_none());
@@ -315,8 +319,9 @@ mod tests {
     #[test]
     fn all_int_mask_is_always_feasible() {
         let f = small_func();
+        let graph = FuncGraph::build(&f);
         let freq = loop_freq(&f, 0.25);
-        let model = CostModel::build(&f, &freq, &params());
+        let model = CostModel::build(&graph, &freq, &params());
         let truth = exhaustive_minimum(&model, 16).unwrap();
         assert!(model.feasible(&truth.side));
         assert_eq!(truth.cost, model.objective(&truth.side));

@@ -20,6 +20,12 @@
 //! [`exhaustive::exhaustive_minimum`] brute-forces small RDGs as an
 //! independent oracle for the min-cut solver.
 //!
+//! All three schemes and the oracle read one [`FuncGraph`] per function:
+//! the RDG, its node classes and the pinning facts derived from them,
+//! built once by [`FuncGraph::build`]. The `*_with` entry points take a
+//! module's graphs from the caller, so a suite builds them once for all
+//! schemes; the plain entry points build them and delegate.
+//!
 //! All schemes produce an [`Assignment`] consumed by `fpa-codegen`: a
 //! subsystem per instruction plus a home register file per virtual
 //! register.
@@ -32,13 +38,15 @@ pub mod assignment;
 pub mod basic;
 pub mod exhaustive;
 pub mod freq;
+pub mod graph;
 pub mod optimal;
 pub mod stats;
 
-pub use advanced::{partition_advanced, CostParams};
+pub use advanced::{partition_advanced, partition_advanced_with, CostParams};
 pub use assignment::{Assignment, FuncAssignment};
-pub use basic::partition_basic;
+pub use basic::{partition_basic, partition_basic_with};
 pub use exhaustive::exhaustive_minimum;
 pub use freq::BlockFreq;
-pub use optimal::{partition_optimal, CostModel};
+pub use graph::FuncGraph;
+pub use optimal::{partition_optimal, partition_optimal_with, CostModel};
 pub use stats::PartitionStats;

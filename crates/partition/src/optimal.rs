@@ -49,13 +49,13 @@
 //! from `s`), and materialization — copy insertion, duplication, use
 //! rewriting — reuses the advanced scheme's machinery unchanged.
 
-use crate::advanced::{dup_allowed, materialize, Choice, CostParams};
+use crate::advanced::{materialize, per_function, Choice, CostParams};
 use crate::assignment::{Assignment, FuncAssignment};
 use crate::freq::BlockFreq;
-use fpa_ir::{FuncId, Function, Inst, InstId, Module, VReg};
+use crate::graph::FuncGraph;
+use fpa_ir::{Function, Module};
 use fpa_isa::Subsystem;
-use fpa_rdg::{classify, NodeClass, NodeId, NodeKind, PinReason, Rdg};
-use std::collections::HashMap;
+use fpa_rdg::{NodeId, NodeKind};
 
 /// Fixed-point scale for the integer cost domain: all frequencies and
 /// overheads are multiplied by `SCALE` and rounded once. 2^10 keeps the
@@ -73,57 +73,38 @@ fn scaled(x: f64) -> i64 {
 
 /// The exact cost model of one function: everything the min-cut network,
 /// the independent objective accounting, and the brute-force enumeration
-/// share. Building it does not modify the function.
-pub struct CostModel {
-    /// The function's RDG (built on the unmodified function).
-    pub rdg: Rdg,
-    /// Per-node classification (paper §4).
-    pub classes: Vec<NodeClass>,
+/// share, over the function's [`FuncGraph`].
+pub struct CostModel<'g> {
+    /// The function's graph (built on the unpartitioned function).
+    pub graph: &'g FuncGraph,
     /// Offloadable weight per node, scaled (Plain nodes only; the halves
     /// of a load or store execute on the INT load/store unit regardless).
-    weight: Vec<i64>,
+    pub(crate) weight: Vec<i64>,
     /// FPa→INT copy cost per node, scaled: `o_copy · n_B(v)`.
-    copy: Vec<i64>,
+    pub(crate) copy: Vec<i64>,
     /// `min(copy, duplication fixpoint)` per node, scaled.
-    comm: Vec<i64>,
+    pub(crate) comm: Vec<i64>,
     /// Copy-vs-duplicate choice per node (for materialization).
     choices: Vec<Choice>,
-    /// Whether the node feeds a pinned-INT consumer that needs the value
-    /// in an integer register (§6.4's copy sites).
-    feeds_pinned: Vec<bool>,
-    /// Free nodes inside a load/store address backward slice: forced INT.
-    addr_pinned: Vec<bool>,
     /// Sibling-group representative per node: free definitions of one
-    /// vreg share a group (their register must have one home).
-    group_rep: Vec<NodeId>,
-    /// Instruction table (for materialization).
-    insts: HashMap<InstId, Inst>,
-    /// Value-producing definitions per vreg (for materialization).
-    defs_of_vreg: HashMap<VReg, Vec<NodeId>>,
+    /// vreg share a group (their register must have one home); other
+    /// nodes represent themselves.
+    pub(crate) group_rep: Vec<NodeId>,
 }
 
-impl CostModel {
-    /// Builds the model for `func` under profiled block frequencies and
-    /// the given cost parameters.
+impl<'g> CostModel<'g> {
+    /// Builds the model for the function `graph` was built on, under
+    /// profiled block frequencies and the given cost parameters.
     #[must_use]
-    pub fn build(func: &Function, freq: &[f64], params: &CostParams) -> CostModel {
-        let rdg = Rdg::build(func);
-        let classes = classify(func, &rdg);
+    pub fn build(graph: &'g FuncGraph, freq: &[f64], params: &CostParams) -> CostModel<'g> {
+        let rdg = &graph.rdg;
         let nn = rdg.len();
-
-        let mut insts: HashMap<InstId, Inst> = HashMap::new();
-        for (_, inst) in func.insts() {
-            insts.insert(inst.id(), inst.clone());
-        }
-
-        let native = |v: NodeId| classes[v.index()] == NodeClass::NativeFp;
-        let free = |v: NodeId| classes[v.index()] == NodeClass::Free;
         let nfreq = |v: NodeId| freq[rdg.block_of(v).index()];
 
         let weight: Vec<i64> = rdg
             .node_ids()
             .map(|v| match rdg.kind(v) {
-                NodeKind::Plain(_) if free(v) => scaled(nfreq(v)),
+                NodeKind::Plain(_) if graph.free(v) => scaled(nfreq(v)),
                 _ => 0,
             })
             .collect();
@@ -139,12 +120,12 @@ impl CostModel {
         for _ in 0..64 {
             let mut changed = false;
             for v in rdg.node_ids() {
-                if native(v) || !dup_allowed(&rdg, &insts, v) {
+                if graph.native(v) || !graph.dup_allowed(v) {
                     continue;
                 }
                 let mut cost = scaled(params.o_dupl * nfreq(v));
                 for &p in rdg.preds(v) {
-                    if !native(p) {
+                    if !graph.native(p) {
                         cost += copy[p.index()].min(dupl[p.index()]);
                     }
                 }
@@ -168,144 +149,28 @@ impl CostModel {
             })
             .collect();
 
-        let feeds_pinned: Vec<bool> = rdg
+        // Sibling groups: the free definitions of one vreg, represented
+        // by the first of them (each node defines at most one vreg, so the
+        // groups are disjoint).
+        let group_rep: Vec<NodeId> = rdg
             .node_ids()
             .map(|v| {
-                rdg.succs(v).iter().any(|&c| {
-                    matches!(
-                        classes[c.index()],
-                        NodeClass::PinnedInt(
-                            PinReason::Call | PinReason::Return | PinReason::Io | PinReason::MulDiv
-                        )
-                    )
-                })
+                let first = graph.siblings(v).iter().find(|&&d| graph.free(d));
+                match first {
+                    Some(&first) if graph.free(v) => first,
+                    _ => v,
+                }
             })
             .collect();
 
-        let mut addr_pinned = vec![false; nn];
-        for v in rdg.node_ids() {
-            if matches!(rdg.kind(v), NodeKind::LoadAddr(_) | NodeKind::StoreAddr(_)) {
-                for s in rdg.backward_slice(v) {
-                    if free(s) {
-                        addr_pinned[s.index()] = true;
-                    }
-                }
-            }
-        }
-
-        // Sibling groups: free definitions of one vreg, merged by
-        // union-find (path halving over a representative vector).
-        let dst_vreg = |v: NodeId| -> Option<VReg> {
-            match rdg.kind(v) {
-                NodeKind::Param(i) => Some(func.params[i]),
-                NodeKind::LoadValue(id) | NodeKind::Plain(id) => insts.get(&id).and_then(Inst::dst),
-                _ => None,
-            }
-        };
-        let mut defs_of_vreg: HashMap<VReg, Vec<NodeId>> = HashMap::new();
-        for v in rdg.node_ids() {
-            if let Some(w) = dst_vreg(v) {
-                defs_of_vreg.entry(w).or_default().push(v);
-            }
-        }
-        let mut group_rep: Vec<NodeId> = rdg.node_ids().collect();
-        fn find(rep: &mut [NodeId], v: NodeId) -> NodeId {
-            let mut v = v;
-            while rep[v.index()] != v {
-                rep[v.index()] = rep[rep[v.index()].index()];
-                v = rep[v.index()];
-            }
-            v
-        }
-        for defs in defs_of_vreg.values() {
-            let mut first: Option<NodeId> = None;
-            for &d in defs {
-                if !free(d) {
-                    continue;
-                }
-                match first {
-                    None => first = Some(d),
-                    Some(f) => {
-                        let (a, b) = (find(&mut group_rep, f), find(&mut group_rep, d));
-                        if a != b {
-                            group_rep[b.index()] = a;
-                        }
-                    }
-                }
-            }
-        }
-        for v in rdg.node_ids() {
-            find(&mut group_rep, v);
-        }
-        let group_rep: Vec<NodeId> = {
-            let mut rep = group_rep;
-            (0..nn as u32)
-                .map(|i| find(&mut rep, NodeId::new(i)))
-                .collect()
-        };
-
         CostModel {
-            rdg,
-            classes,
+            graph,
             weight,
             copy,
             comm,
             choices,
-            feeds_pinned,
-            addr_pinned,
             group_rep,
-            insts,
-            defs_of_vreg,
         }
-    }
-
-    fn native(&self, v: NodeId) -> bool {
-        self.classes[v.index()] == NodeClass::NativeFp
-    }
-
-    fn pinned(&self, v: NodeId) -> bool {
-        matches!(self.classes[v.index()], NodeClass::PinnedInt(_))
-    }
-
-    fn free(&self, v: NodeId) -> bool {
-        self.classes[v.index()] == NodeClass::Free
-    }
-
-    /// The node's offloadable weight (scaled).
-    #[must_use]
-    pub fn weight_of(&self, v: NodeId) -> i64 {
-        self.weight[v.index()]
-    }
-
-    /// The node's communication cost `min(copy, dupl)` (scaled).
-    #[must_use]
-    pub fn comm_of(&self, v: NodeId) -> i64 {
-        self.comm[v.index()]
-    }
-
-    /// The node's FPa→INT copy cost (scaled).
-    #[must_use]
-    pub fn copy_of(&self, v: NodeId) -> i64 {
-        self.copy[v.index()]
-    }
-
-    /// Whether `v` feeds a pinned-INT consumer (§6.4 copy site).
-    #[must_use]
-    pub fn feeds_pinned_int(&self, v: NodeId) -> bool {
-        self.feeds_pinned[v.index()]
-    }
-
-    /// Whether `v` is a free node forced INT by an address slice.
-    #[must_use]
-    pub fn addr_pinned(&self, v: NodeId) -> bool {
-        self.addr_pinned[v.index()]
-    }
-
-    /// The sibling-group representative of `v` (free definitions of one
-    /// vreg share a representative).
-    #[must_use]
-    pub fn group_of(&self, v: NodeId) -> NodeId {
-        self.group_rep[v.index()]
     }
 
     /// The modeled cost of a side vector, recomputed independently of the
@@ -317,25 +182,25 @@ impl CostModel {
     /// model for the optimality-gap report.
     #[must_use]
     pub fn objective(&self, side: &[Subsystem]) -> i64 {
+        let g = self.graph;
         let mut cost = 0i64;
-        for v in self.rdg.node_ids() {
+        for v in g.rdg.node_ids() {
             match side[v.index()] {
                 Subsystem::Int => {
-                    if self.free(v) {
+                    if g.free(v) {
                         cost += self.weight[v.index()];
                     }
-                    if !self.native(v)
-                        && self
-                            .rdg
+                    if !g.native(v)
+                        && g.rdg
                             .succs(v)
                             .iter()
-                            .any(|&c| self.free(c) && side[c.index()] == Subsystem::Fp)
+                            .any(|&c| g.free(c) && side[c.index()] == Subsystem::Fp)
                     {
                         cost += self.comm[v.index()];
                     }
                 }
                 Subsystem::Fp => {
-                    if self.feeds_pinned[v.index()] {
+                    if g.feeds_pinned_int(v) {
                         cost += self.copy[v.index()];
                     }
                 }
@@ -350,24 +215,24 @@ impl CostModel {
     /// one side.
     #[must_use]
     pub fn feasible(&self, side: &[Subsystem]) -> bool {
-        for v in self.rdg.node_ids() {
+        let g = self.graph;
+        for v in g.rdg.node_ids() {
             let s = side[v.index()];
-            if (self.pinned(v) || self.addr_pinned[v.index()]) && s != Subsystem::Int {
+            if (g.pinned(v) || g.addr_pinned(v)) && s != Subsystem::Int {
                 return false;
             }
-            if self.native(v) && s != Subsystem::Fp {
+            if g.native(v) && s != Subsystem::Fp {
                 return false;
             }
-            if self.free(v) {
+            if g.free(v) {
                 if side[self.group_rep[v.index()].index()] != s {
                     return false;
                 }
                 if s == Subsystem::Fp
-                    && self
-                        .rdg
+                    && g.rdg
                         .succs(v)
                         .iter()
-                        .any(|&c| self.free(c) && side[c.index()] == Subsystem::Int)
+                        .any(|&c| g.free(c) && side[c.index()] == Subsystem::Int)
                 {
                     return false;
                 }
@@ -381,15 +246,16 @@ impl CostModel {
     /// ids of original instructions are stable through materialization).
     #[must_use]
     pub fn sides_of_assignment(&self, fa: &FuncAssignment) -> Vec<Subsystem> {
-        self.rdg
+        let g = self.graph;
+        g.rdg
             .node_ids()
             .map(|v| {
-                if self.pinned(v) {
+                if g.pinned(v) {
                     Subsystem::Int
-                } else if self.native(v) {
+                } else if g.native(v) {
                     Subsystem::Fp
                 } else {
-                    let id = self.rdg.kind(v).inst().expect("free nodes have insts");
+                    let id = g.rdg.kind(v).inst().expect("free nodes have insts");
                     fa.side(id)
                 }
             })
@@ -401,16 +267,17 @@ impl CostModel {
     /// source-reachable residual cut.
     #[must_use]
     pub fn min_cut(&self) -> MinCut {
-        let nn = self.rdg.len();
+        let g = self.graph;
+        let nn = g.rdg.len();
         // Flow-node layout: RDG nodes, then one aux per communicating
         // producer, then s, t.
         let mut aux_of: Vec<Option<usize>> = vec![None; nn];
         let mut next = nn;
-        for v in self.rdg.node_ids() {
-            if self.native(v) || self.comm[v.index()] == 0 {
+        for v in g.rdg.node_ids() {
+            if g.native(v) || self.comm[v.index()] == 0 {
                 continue;
             }
-            if self.rdg.succs(v).iter().any(|&c| self.free(c)) {
+            if g.rdg.succs(v).iter().any(|&c| g.free(c)) {
                 aux_of[v.index()] = Some(next);
                 next += 1;
             }
@@ -418,31 +285,31 @@ impl CostModel {
         let (s, t) = (next, next + 1);
         let mut net = Dinic::new(next + 2);
 
-        for v in self.rdg.node_ids() {
+        for v in g.rdg.node_ids() {
             let i = v.index();
-            if self.pinned(v) || self.addr_pinned[i] {
+            if g.pinned(v) || g.addr_pinned(v) {
                 net.add_edge(s, i, INF);
             }
-            if self.native(v) {
+            if g.native(v) {
                 net.add_edge(i, t, INF);
             }
-            if self.free(v) && self.weight[i] > 0 {
+            if g.free(v) && self.weight[i] > 0 {
                 net.add_edge(i, t, self.weight[i]);
             }
-            if self.feeds_pinned[i] && !self.pinned(v) && self.copy[i] > 0 {
+            if g.feeds_pinned_int(v) && !g.pinned(v) && self.copy[i] > 0 {
                 net.add_edge(s, i, self.copy[i]);
             }
             if let Some(a) = aux_of[i] {
                 net.add_edge(i, a, self.comm[i]);
-                for &c in self.rdg.succs(v) {
-                    if self.free(c) {
+                for &c in g.rdg.succs(v) {
+                    if g.free(c) {
                         net.add_edge(a, c.index(), INF);
                     }
                 }
             }
-            if self.free(v) {
-                for &c in self.rdg.succs(v) {
-                    if self.free(c) {
+            if g.free(v) {
+                for &c in g.rdg.succs(v) {
+                    if g.free(c) {
                         net.add_edge(c.index(), i, INF);
                     }
                 }
@@ -473,22 +340,6 @@ impl CostModel {
         );
         MinCut { side, cost }
     }
-
-    /// Materializes a side vector into the function — copies, duplicates,
-    /// use rewriting — via the advanced scheme's machinery, and derives
-    /// the codegen-facing assignment.
-    #[must_use]
-    pub fn materialize_into(&self, func: &mut Function, side: &[Subsystem]) -> FuncAssignment {
-        materialize(
-            func,
-            &self.rdg,
-            &self.classes,
-            side,
-            &self.insts,
-            &self.choices,
-            &self.defs_of_vreg,
-        )
-    }
 }
 
 /// The result of [`CostModel::min_cut`].
@@ -503,25 +354,33 @@ pub struct MinCut {
 /// duplicate instructions in place (like [`crate::partition_advanced`]).
 #[must_use]
 pub fn partition_optimal(module: &mut Module, freq: &BlockFreq, params: &CostParams) -> Assignment {
-    params.validate();
-    let mut funcs = Vec::with_capacity(module.funcs.len());
-    for (i, func) in module.funcs.iter_mut().enumerate() {
-        let fid = FuncId::new(i as u32);
-        funcs.push(partition_optimal_func(func, freq.of_func(fid), params));
-    }
-    Assignment { funcs }
+    partition_optimal_with(&FuncGraph::build_all(module), module, freq, params)
 }
 
-/// Runs the exact scheme over one function.
+/// [`partition_optimal`] over graphs already built for the unpartitioned
+/// `module` (one per function, as [`FuncGraph::build_all`] returns
+/// them).
+#[must_use]
+pub fn partition_optimal_with(
+    graphs: &[FuncGraph],
+    module: &mut Module,
+    freq: &BlockFreq,
+    params: &CostParams,
+) -> Assignment {
+    per_function(graphs, module, freq, params, partition_optimal_func)
+}
+
+/// Runs the exact scheme over one function, given the graph built on it
+/// before partitioning.
 #[must_use]
 pub fn partition_optimal_func(
     func: &mut Function,
+    graph: &FuncGraph,
     freq: &[f64],
     params: &CostParams,
 ) -> FuncAssignment {
-    let model = CostModel::build(func, freq, params);
-    let cut = model.min_cut();
-    model.materialize_into(func, &cut.side)
+    let model = CostModel::build(graph, freq, params);
+    materialize(func, graph, &model.min_cut().side, &model.choices)
 }
 
 /// Dinic's max-flow on an adjacency-list residual graph. Self-contained:
@@ -636,6 +495,7 @@ mod tests {
     use crate::advanced::partition_advanced_func;
     use crate::basic::partition_basic_func;
     use fpa_ir::{BinOp, FunctionBuilder, Interp, MemWidth, Terminator, Ty};
+    use fpa_rdg::NodeClass;
 
     fn test_params() -> CostParams {
         CostParams {
@@ -707,7 +567,8 @@ mod tests {
         let mut m = figure5_module();
         let (golden, _) = Interp::new(&m).run().unwrap();
         let freq = loop_freq(&m.funcs[0], 100.0);
-        let a = partition_optimal_func(&mut m.funcs[0], &freq, &test_params());
+        let graph = FuncGraph::build(&m.funcs[0]);
+        let a = partition_optimal_func(&mut m.funcs[0], &graph, &freq, &test_params());
         fpa_ir::verify::verify_module(&m).unwrap();
         let (out, _) = Interp::new(&m).run().unwrap();
         assert_eq!(out.output, golden.output);
@@ -728,7 +589,8 @@ mod tests {
     fn flow_value_equals_recomputed_objective() {
         let m = figure5_module();
         let freq = loop_freq(&m.funcs[0], 100.0);
-        let model = CostModel::build(&m.funcs[0], &freq, &test_params());
+        let graph = FuncGraph::build(&m.funcs[0]);
+        let model = CostModel::build(&graph, &freq, &test_params());
         let cut = model.min_cut();
         assert!(model.feasible(&cut.side));
         assert_eq!(cut.cost, model.objective(&cut.side));
@@ -738,14 +600,15 @@ mod tests {
     fn optimal_dominates_basic_and_advanced_on_figure5() {
         let m0 = figure5_module();
         let freq = loop_freq(&m0.funcs[0], 100.0);
-        let model = CostModel::build(&m0.funcs[0], &freq, &test_params());
+        let graph = FuncGraph::build(&m0.funcs[0]);
+        let model = CostModel::build(&graph, &freq, &test_params());
         let cut = model.min_cut();
 
-        let basic = partition_basic_func(&m0.funcs[0]);
+        let basic = partition_basic_func(&m0.funcs[0], &graph);
         let basic_cost = model.objective(&model.sides_of_assignment(&basic));
 
         let mut m1 = figure5_module();
-        let adv = partition_advanced_func(&mut m1.funcs[0], &freq, &test_params());
+        let adv = partition_advanced_func(&mut m1.funcs[0], &graph, &freq, &test_params());
         let adv_side = model.sides_of_assignment(&adv);
         assert!(
             model.feasible(&adv_side),
@@ -770,7 +633,8 @@ mod tests {
         let mut m = figure5_module();
         let before: usize = m.funcs[0].blocks.iter().map(|b| b.insts.len()).sum();
         let freq = vec![0.001; m.funcs[0].blocks.len()];
-        let a = partition_optimal_func(&mut m.funcs[0], &freq, &test_params());
+        let graph = FuncGraph::build(&m.funcs[0]);
+        let a = partition_optimal_func(&mut m.funcs[0], &graph, &freq, &test_params());
         let after: usize = m.funcs[0].blocks.iter().map(|b| b.insts.len()).sum();
         assert_eq!(before, after, "no copies for cold code");
         let f = &m.funcs[0];
@@ -787,12 +651,13 @@ mod tests {
         // communication at all.
         let m = figure5_module();
         let freq = loop_freq(&m.funcs[0], 10.0);
-        let model = CostModel::build(&m.funcs[0], &freq, &test_params());
-        let all_int: Vec<Subsystem> = model
+        let graph = FuncGraph::build(&m.funcs[0]);
+        let model = CostModel::build(&graph, &freq, &test_params());
+        let all_int: Vec<Subsystem> = graph
             .rdg
             .node_ids()
             .map(|v| {
-                if model.classes[v.index()] == NodeClass::NativeFp {
+                if graph.classes[v.index()] == NodeClass::NativeFp {
                     Subsystem::Fp
                 } else {
                     Subsystem::Int
@@ -800,7 +665,7 @@ mod tests {
             })
             .collect();
         assert!(model.feasible(&all_int));
-        let total: i64 = model.rdg.node_ids().map(|v| model.weight_of(v)).sum();
+        let total: i64 = model.weight.iter().sum();
         assert_eq!(model.objective(&all_int), total);
         assert!(model.min_cut().cost <= total);
     }

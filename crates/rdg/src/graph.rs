@@ -243,24 +243,35 @@ impl Rdg {
     /// because those halves share no edge.
     #[must_use]
     pub fn backward_slice(&self, v: NodeId) -> Vec<NodeId> {
-        self.walk(v, |g, n| g.preds(n))
+        self.walk([v], |g, n| g.preds(n))
+    }
+
+    /// The union of the backward slices of `seeds`, walked once: over
+    /// every address node, the LdSt slice.
+    #[must_use]
+    pub fn backward_slice_of(&self, seeds: impl IntoIterator<Item = NodeId>) -> Vec<NodeId> {
+        self.walk(seeds, |g, n| g.preds(n))
     }
 
     /// `Forward_Slice(G, v)`: every node reachable from `v`, including `v`.
     #[must_use]
     pub fn forward_slice(&self, v: NodeId) -> Vec<NodeId> {
-        self.walk(v, |g, n| g.succs(n))
+        self.walk([v], |g, n| g.succs(n))
     }
 
     fn walk<'a>(
         &'a self,
-        start: NodeId,
+        starts: impl IntoIterator<Item = NodeId>,
         next: impl Fn(&'a Rdg, NodeId) -> &'a [NodeId],
     ) -> Vec<NodeId> {
         let mut seen = vec![false; self.len()];
-        let mut stack = vec![start];
+        let mut stack = Vec::new();
+        for s in starts {
+            if !std::mem::replace(&mut seen[s.index()], true) {
+                stack.push(s);
+            }
+        }
         let mut out = Vec::new();
-        seen[start.index()] = true;
         while let Some(n) = stack.pop() {
             out.push(n);
             for &m in next(self, n) {
@@ -360,6 +371,23 @@ mod tests {
         // Crucially: does NOT include the load's address computation.
         assert!(!slice.contains(&la));
         assert!(!slice.contains(&g.node(NodeKind::Param(0)).unwrap()));
+    }
+
+    #[test]
+    fn backward_slice_of_seeds_is_the_union_of_their_slices() {
+        let (f, load_id, _, store_id) = load_add_store();
+        let g = Rdg::build(&f);
+        let seeds = [
+            NodeKind::LoadAddr(load_id),
+            NodeKind::StoreValue(store_id),
+            NodeKind::StoreAddr(store_id),
+        ]
+        .map(|k| g.node(k).unwrap());
+        let mut union: Vec<NodeId> = seeds.iter().flat_map(|&s| g.backward_slice(s)).collect();
+        union.sort_unstable();
+        union.dedup();
+        assert_eq!(g.backward_slice_of(seeds), union);
+        assert_eq!(g.backward_slice_of([]), Vec::<NodeId>::new());
     }
 
     #[test]

@@ -553,7 +553,14 @@ pub fn simulate_with_faults<O: SimObserver>(
         // Injected defects are expressed against the reference engine's
         // explicit full-window scan (and break the fast path's dense-seq
         // and wakeup bookkeeping by design).
-        crate::reference::simulate_naive(program, config, max_cycles, obs, faults)
+        crate::reference::simulate_naive(
+            program,
+            config,
+            max_cycles,
+            obs,
+            faults,
+            &mut Machine::empty(),
+        )
     } else {
         simulate_observed(program, config, max_cycles, obs)
     }
@@ -570,13 +577,15 @@ pub(crate) fn simulate_core<O: SimObserver>(
         // The ready and store-barrier sets are `u64` bitmasks over the ROB
         // window, which both of the paper's machines (32- and 64-entry
         // ROBs) fit; a wider configuration runs on the reference engine,
-        // which has no window bound.
+        // which has no window bound. It runs on the session's machine, so
+        // `SimSession::memory` shows this run too.
         return crate::reference::simulate_naive(
             program,
             config,
             max_cycles,
             obs,
             FaultInjection::default(),
+            &mut bufs.machine,
         );
     }
     dispatch::decode_into(program, &mut bufs.decoded);

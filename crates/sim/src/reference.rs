@@ -70,9 +70,12 @@ pub fn simulate_reference(
         max_cycles,
         &mut NullObserver,
         FaultInjection::default(),
+        &mut Machine::empty(),
     )
 }
 
+/// The reference engine over a lent architectural machine, which it
+/// resets for `program` and leaves holding the run's final state.
 #[allow(clippy::too_many_lines)]
 pub(crate) fn simulate_naive<O: SimObserver>(
     program: &Program,
@@ -80,8 +83,9 @@ pub(crate) fn simulate_naive<O: SimObserver>(
     max_cycles: u64,
     obs: &mut O,
     faults: FaultInjection,
+    oracle: &mut Machine,
 ) -> Result<TimingResult, ExecError> {
-    let mut oracle = Machine::new(program);
+    oracle.reset(program);
     let mut icache = Cache::new(config.icache);
     let mut dcache = Cache::new(config.dcache);
     let mut gshare = Gshare::new(config.gshare_bits);
@@ -179,7 +183,7 @@ pub(crate) fn simulate_naive<O: SimObserver>(
                     cycles: cycle + 1,
                     retired,
                     exit_code: code,
-                    output: oracle.output,
+                    output: std::mem::take(&mut oracle.output),
                     int_issued,
                     fp_issued,
                     augmented_retired,

@@ -391,6 +391,38 @@ mod tests {
         }
     }
 
+    /// Stores `value` as a word at 0x3000, then halts.
+    fn store_word(value: i32) -> Program {
+        let r9: Reg = IntReg::new(9).into();
+        let mut p = Program::new();
+        p.stack_top = 0x1_0000;
+        p.code = vec![
+            Inst::li(Op::Li, r9, value),
+            Inst::store(Op::Sw, r9, IntReg::ZERO, 0x3000),
+            with_rs(Op::Halt, IntReg::ZERO.into()),
+        ];
+        p
+    }
+
+    #[test]
+    fn memory_shows_a_wide_window_run() {
+        // A window over 64 entries runs on the reference engine, which
+        // must leave its final memory in the session's machine as well.
+        let narrow = MachineConfig::four_way(true);
+        let wide = MachineConfig {
+            max_inflight: 96,
+            ..narrow.clone()
+        };
+        let mut s = SimSession::new();
+        s.simulate(&store_word(0x11), &narrow, 1_000).unwrap();
+        assert_eq!(s.memory()[0x3000], 0x11);
+        s.simulate(&store_word(0x22), &wide, 1_000).unwrap();
+        assert_eq!(s.memory()[0x3000], 0x22);
+        // The page it wrote is dirty, so the next run starts clean.
+        s.simulate(&counting_program(3), &narrow, 1_000).unwrap();
+        assert_eq!(s.memory()[0x3000], 0);
+    }
+
     #[test]
     fn functional_fast_path_matches_interpreter_shape() {
         let p = counting_program(10);

@@ -12,7 +12,8 @@
 
 use fpa::ir::Terminator;
 use fpa::isa::Subsystem;
-use fpa::rdg::{classify, NodeClass, Rdg, Slices};
+use fpa::partition::FuncGraph;
+use fpa::rdg::{NodeClass, Slices};
 use fpa::{Compiler, Scheme};
 
 const SRC: &str = "
@@ -54,8 +55,10 @@ fn main() {
     println!("{}", fpa::ir::display::func_to_string(func, Some(&m)));
 
     // --- The RDG and its slices (Figure 3) ------------------------------
-    let rdg = Rdg::build(func);
-    let classes = classify(func, &rdg);
+    // One graph per function: the RDG and its node classes, which every
+    // partitioning scheme reads.
+    let graph = FuncGraph::build(func);
+    let (rdg, classes) = (graph.rdg(), graph.classes());
     let branch_ids: Vec<_> = func
         .block_ids()
         .filter_map(|b| match func.block(b).term {
@@ -71,7 +74,7 @@ fn main() {
         })
         .collect();
     let slices = Slices::compute(
-        &rdg,
+        rdg,
         |n| rdg.kind(n).inst().is_some_and(|i| branch_ids.contains(&i)),
         |n| rdg.kind(n).inst().is_some_and(|i| ret_ids.contains(&i)),
     );
@@ -99,7 +102,7 @@ fn main() {
     println!();
 
     // --- Basic partition (Figure 4) --------------------------------------
-    let basic = fpa::partition::basic::partition_basic_func(func);
+    let basic = fpa::partition::basic::partition_basic_func(func, &graph);
     let basic_fp = func
         .insts()
         .filter(|(_, i)| basic.side(i.id()) == Subsystem::Fp)
