@@ -20,10 +20,10 @@ use crate::oracle::OracleStats;
 use fpa_analysis::ErrorCode;
 use fpa_harness::json::Json;
 use fpa_harness::{Scheme, SuiteArtifacts};
-use fpa_ir::{Function, Terminator};
+use fpa_ir::Function;
 use fpa_isa::Subsystem;
 use fpa_partition::Assignment;
-use fpa_rdg::{classify, NodeClass, PinReason, Rdg, SliceKind, Slices};
+use fpa_rdg::{NodeClass, PinReason, Rdg, SliceKind, Slices};
 use std::collections::BTreeSet;
 
 /// SplitMix64 finalizer: a cheap, well-mixed u64 permutation.
@@ -334,20 +334,7 @@ fn optimal_delta_features(suite: &SuiteArtifacts, stats: &OracleStats, set: &mut
 
 fn rdg_features(func: &Function, set: &mut BTreeSet<u64>) {
     let rdg = Rdg::build(func);
-    let mut branch_ids = Vec::new();
-    let mut ret_ids = Vec::new();
-    for blk in func.block_ids() {
-        match &func.block(blk).term {
-            Terminator::Br { id, .. } => branch_ids.push(*id),
-            Terminator::Ret { id, .. } => ret_ids.push(*id),
-            Terminator::Jump { .. } => {}
-        }
-    }
-    let slices = Slices::compute(
-        &rdg,
-        |n| rdg.kind(n).inst().is_some_and(|i| branch_ids.contains(&i)),
-        |n| rdg.kind(n).inst().is_some_and(|i| ret_ids.contains(&i)),
-    );
+    let slices = Slices::compute(&rdg);
 
     // Whole-graph shape: node-count bucket × LdSt-slice-fraction octile.
     set.insert(feature(
@@ -363,10 +350,7 @@ fn rdg_features(func: &Function, set: &mut BTreeSet<u64>) {
     // much of a branch/store/return slice is already owed to address
     // generation decides what the basic scheme can offload.
     let named = [
-        (
-            SliceKind::LdSt,
-            vec![(0u32, slices.ldst.iter().copied().collect::<Vec<_>>())],
-        ),
+        (SliceKind::LdSt, vec![(0u32, slices.ldst.clone())]),
         (
             SliceKind::Branch,
             slices
@@ -395,10 +379,9 @@ fn rdg_features(func: &Function, set: &mut BTreeSet<u64>) {
                 .collect(),
         ),
     ];
-    let classes = classify(func, &rdg);
     for (kind, per_slice) in named {
         for (_, nodes) in &per_slice {
-            let pinned = nodes.iter().filter(|n| slices.ldst.contains(n)).count();
+            let pinned = nodes.iter().filter(|&&n| rdg.in_ldst(n)).count();
             let frac = if nodes.is_empty() {
                 0.0
             } else {
@@ -418,8 +401,8 @@ fn rdg_features(func: &Function, set: &mut BTreeSet<u64>) {
             // call-heavy code → Call pins), which is exactly the axis
             // feedback mutates.
             let mut in_slice = [0u64; 9];
-            for n in nodes {
-                in_slice[class_code(classes[n.index()]) as usize] += 1;
+            for &n in nodes {
+                in_slice[class_code(rdg.class(n)) as usize] += 1;
             }
             for (ci, &count) in in_slice.iter().enumerate() {
                 set.insert(feature(
@@ -437,8 +420,8 @@ fn rdg_features(func: &Function, set: &mut BTreeSet<u64>) {
 
     // Node-class histogram: bucketed count per class.
     let mut hist = [0u64; 9];
-    for &c in &classes {
-        hist[class_code(c) as usize] += 1;
+    for n in rdg.node_ids() {
+        hist[class_code(rdg.class(n)) as usize] += 1;
     }
     for (i, &n) in hist.iter().enumerate() {
         set.insert(feature(TAG_CLASS_HIST, &[i as u64, bucket(n)]));

@@ -81,7 +81,6 @@ const COMPILER_SOURCES: &[&str] = &[
     include_str!("../../isa/src/op.rs"),
     include_str!("../../isa/src/program.rs"),
     include_str!("../../isa/src/reg.rs"),
-    include_str!("../../rdg/src/classify.rs"),
     include_str!("../../rdg/src/graph.rs"),
     include_str!("../../rdg/src/lib.rs"),
     include_str!("../../rdg/src/slices.rs"),
@@ -90,7 +89,6 @@ const COMPILER_SOURCES: &[&str] = &[
     include_str!("../../partition/src/basic.rs"),
     include_str!("../../partition/src/exhaustive.rs"),
     include_str!("../../partition/src/freq.rs"),
-    include_str!("../../partition/src/graph.rs"),
     include_str!("../../partition/src/lib.rs"),
     include_str!("../../partition/src/optimal.rs"),
     include_str!("../../partition/src/stats.rs"),

@@ -7,7 +7,7 @@
 //!
 //! - the **front half**, run once per source: parse → optimize → split
 //!   webs → verify → profile → the partitioners' per-function graphs
-//!   ([`FuncGraph`]; every frontend execution is counted, see
+//!   ([`Rdg`]; every frontend execution is counted, see
 //!   [`frontend_runs`]);
 //! - the **back half**, run once per scheme on the front half's graphs:
 //!   partition → verify → stats → codegen.
@@ -34,8 +34,9 @@ use fpa_ir::{Interp, Module, Profile};
 use fpa_isa::Program;
 use fpa_partition::{
     partition_advanced_with, partition_basic_with, partition_optimal_with, Assignment, BlockFreq,
-    CostParams, FuncGraph, PartitionStats,
+    CostParams, PartitionStats,
 };
+use fpa_rdg::Rdg;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
@@ -372,7 +373,7 @@ impl SuiteArtifacts {
         let freq = BlockFreq::from_profile(&self.module, &self.profile);
         back(
             self.module.clone(),
-            &FuncGraph::build_all(&self.module),
+            &Rdg::build_all(&self.module),
             &freq,
             scheme,
             params,
@@ -546,7 +547,7 @@ struct Profiled {
     /// `profile` as the partitioners' block weights.
     freq: BlockFreq,
     /// The partitioners' graph of each function of `module`.
-    graphs: Vec<FuncGraph>,
+    graphs: Vec<Rdg>,
     /// The golden interpreter run.
     golden: fpa_ir::ExecOutcome,
 }
@@ -560,7 +561,7 @@ fn front(src: &str, timings: &mut StageTimings) -> Result<Profiled, Error> {
     timings.profile = t.elapsed();
     let freq = BlockFreq::from_profile(&module, &profile);
     let t = Instant::now();
-    let graphs = FuncGraph::build_all(&module);
+    let graphs = Rdg::build_all(&module);
     timings.partition += t.elapsed();
     Ok(Profiled {
         module,
@@ -579,7 +580,7 @@ fn front(src: &str, timings: &mut StageTimings) -> Result<Profiled, Error> {
 /// basic ones.
 fn back(
     mut module: Module,
-    graphs: &[FuncGraph],
+    graphs: &[Rdg],
     freq: &BlockFreq,
     scheme: Scheme,
     params: &CostParams,

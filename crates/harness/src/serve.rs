@@ -96,16 +96,18 @@ fn parse_req(req: &Json) -> Result<Op<'_>, String> {
         "compile" => {
             let d = CostParams::default();
             let f = |key: &str, dflt: f64| req.get(key).and_then(Json::as_f64).unwrap_or(dflt);
+            let params = CostParams {
+                o_copy: f("o_copy", d.o_copy),
+                o_dupl: f("o_dupl", d.o_dupl),
+                balance_cap: req
+                    .get("balance_cap")
+                    .and_then(Json::as_f64)
+                    .or(d.balance_cap),
+            };
+            params.check()?;
             Ok(Op::Compile {
                 source: source()?,
-                params: CostParams {
-                    o_copy: f("o_copy", d.o_copy),
-                    o_dupl: f("o_dupl", d.o_dupl),
-                    balance_cap: req
-                        .get("balance_cap")
-                        .and_then(Json::as_f64)
-                        .or(d.balance_cap),
-                },
+                params,
             })
         }
         "run" => {
@@ -487,6 +489,12 @@ mod tests {
         );
         assert!(error(&respond(&req(r#"{"id": 3, "op": "explode"}"#))).contains("unknown op"));
         assert!(error(&respond(&req(r#"{"id": 4}"#))).contains("missing \"op\""));
+        let mut inverted = req(r#"{"id": 5, "op": "compile", "o_copy": 1, "o_dupl": 5}"#);
+        inverted.set("source", SRC);
+        assert_eq!(
+            error(&respond(&inverted)),
+            "cost model requires o_dupl < o_copy (got 5 >= 1)"
+        );
     }
 
     #[test]

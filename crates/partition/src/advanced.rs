@@ -22,12 +22,11 @@
 //!    calling conventions demand them (actual arguments, return values,
 //!    and other pinned consumers), also per §6.4.
 
-use crate::assignment::{Assignment, FuncAssignment};
+use crate::assignment::{homes, inst_sides, Assignment, FuncAssignment};
 use crate::freq::BlockFreq;
-use crate::graph::FuncGraph;
 use fpa_ir::{BinOp, BlockId, FuncId, Function, Inst, InstId, Module, Terminator, Ty, VReg};
 use fpa_isa::Subsystem;
-use fpa_rdg::{NodeId, NodeKind};
+use fpa_rdg::{NodeId, NodeKind, Rdg};
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 
 const EPS: f64 = 1e-9;
@@ -59,19 +58,33 @@ impl Default for CostParams {
 }
 
 impl CostParams {
-    /// Validates the paper's requirement `o_dupl < o_copy` (§6.2: with
+    /// Checks the paper's requirement `o_dupl < o_copy` (§6.2: with
     /// `o_dupl >= o_copy` no node would ever be duplicated).
+    ///
+    /// # Errors
+    ///
+    /// Says which values break the rule.
+    pub fn check(&self) -> Result<(), String> {
+        if self.o_dupl < self.o_copy {
+            Ok(())
+        } else {
+            Err(format!(
+                "cost model requires o_dupl < o_copy (got {} >= {})",
+                self.o_dupl, self.o_copy
+            ))
+        }
+    }
+
+    /// [`CostParams::check`] for callers whose parameters are already
+    /// trusted.
     ///
     /// # Panics
     ///
     /// Panics when the constraint is violated.
     pub fn validate(&self) {
-        assert!(
-            self.o_dupl < self.o_copy,
-            "cost model requires o_dupl < o_copy (got {} >= {})",
-            self.o_dupl,
-            self.o_copy
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
     }
 }
 
@@ -83,15 +96,15 @@ pub fn partition_advanced(
     freq: &BlockFreq,
     params: &CostParams,
 ) -> Assignment {
-    partition_advanced_with(&FuncGraph::build_all(module), module, freq, params)
+    partition_advanced_with(&Rdg::build_all(module), module, freq, params)
 }
 
 /// [`partition_advanced`] over graphs already built for the
-/// unpartitioned `module` (one per function, as
-/// [`FuncGraph::build_all`] returns them).
+/// unpartitioned `module` (one per function, as [`Rdg::build_all`]
+/// returns them).
 #[must_use]
 pub fn partition_advanced_with(
-    graphs: &[FuncGraph],
+    graphs: &[Rdg],
     module: &mut Module,
     freq: &BlockFreq,
     params: &CostParams,
@@ -102,11 +115,11 @@ pub fn partition_advanced_with(
 /// Runs a profile-driven scheme over every function of `module` with
 /// that function's graph and block frequencies.
 pub(crate) fn per_function(
-    graphs: &[FuncGraph],
+    graphs: &[Rdg],
     module: &mut Module,
     freq: &BlockFreq,
     params: &CostParams,
-    scheme: fn(&mut Function, &FuncGraph, &[f64], &CostParams) -> FuncAssignment,
+    scheme: fn(&mut Function, &Rdg, &[f64], &CostParams) -> FuncAssignment,
 ) -> Assignment {
     params.validate();
     assert_eq!(graphs.len(), module.funcs.len(), "one graph per function");
@@ -115,7 +128,7 @@ pub(crate) fn per_function(
         .iter_mut()
         .zip(graphs)
         .enumerate()
-        .map(|(i, (func, graph))| scheme(func, graph, freq.of_func(FuncId::new(i as u32)), params))
+        .map(|(i, (func, rdg))| scheme(func, rdg, freq.of_func(FuncId::new(i as u32)), params))
         .collect();
     Assignment { funcs }
 }
@@ -132,11 +145,10 @@ pub(crate) enum Choice {
 #[must_use]
 pub fn partition_advanced_func(
     func: &mut Function,
-    graph: &FuncGraph,
+    rdg: &Rdg,
     freq: &[f64],
     params: &CostParams,
 ) -> FuncAssignment {
-    let rdg = &graph.rdg;
     let nn = rdg.len();
 
     // Offloadable-instruction weight: only Plain nodes correspond to real
@@ -154,7 +166,7 @@ pub fn partition_advanced_func(
     let mut side: Vec<Subsystem> = rdg
         .node_ids()
         .map(|v| {
-            if graph.pinned(v) {
+            if rdg.is_pinned(v) {
                 Subsystem::Int
             } else {
                 Subsystem::Fp
@@ -167,17 +179,17 @@ pub fn partition_advanced_func(
     let move_to_int = |side: &mut Vec<Subsystem>, seeds: &[NodeId]| {
         let mut work: VecDeque<NodeId> = seeds.iter().copied().collect();
         while let Some(v) = work.pop_front() {
-            if graph.native(v) || side[v.index()] == Subsystem::Int {
+            if rdg.is_native(v) || side[v.index()] == Subsystem::Int {
                 continue;
             }
             side[v.index()] = Subsystem::Int;
             for &p in rdg.preds(v) {
-                if graph.free(p) && side[p.index()] == Subsystem::Fp {
+                if rdg.is_free(p) && side[p.index()] == Subsystem::Fp {
                     work.push_back(p);
                 }
             }
-            for &sib in graph.siblings(v) {
-                if graph.free(sib) && side[sib.index()] == Subsystem::Fp {
+            for &sib in rdg.siblings(v) {
+                if rdg.is_free(sib) && side[sib.index()] == Subsystem::Fp {
                     work.push_back(sib);
                 }
             }
@@ -186,19 +198,19 @@ pub fn partition_advanced_func(
 
     // LdSt slice -> INT (all memory addresses are ultimately needed in the
     // INT subsystem, §4).
-    let addr_seeds: Vec<NodeId> = rdg.node_ids().filter(|&v| graph.addr_pinned(v)).collect();
+    let addr_seeds: Vec<NodeId> = rdg.node_ids().filter(|&v| rdg.addr_pinned(v)).collect();
     move_to_int(&mut side, &addr_seeds);
 
     let copy_cost = |v: NodeId| params.o_copy * nfreq(v);
     // One-level duplication estimate used during phase 1 (the full §6.2
     // fixpoint runs before phase 2).
     let comm_cost_est = |v: NodeId, side: &[Subsystem]| -> f64 {
-        if !graph.dup_allowed(v) {
+        if !dup_allowed(rdg, v) {
             return copy_cost(v);
         }
         let mut dup = params.o_dupl * nfreq(v);
         for &p in rdg.preds(v) {
-            if !graph.native(p) && side[p.index()] == Subsystem::Int {
+            if !rdg.is_native(p) && side[p.index()] == Subsystem::Int {
                 dup += copy_cost(p);
             }
         }
@@ -208,9 +220,9 @@ pub fn partition_advanced_func(
     // ---- Phase 1: boundary expansion ------------------------------------
     let mut worklist: BTreeSet<NodeId> = BTreeSet::new();
     for v in rdg.node_ids() {
-        if side[v.index()] == Subsystem::Int && !graph.native(v) {
+        if side[v.index()] == Subsystem::Int && !rdg.is_native(v) {
             for &c in rdg.succs(v) {
-                if graph.free(c) && side[c.index()] == Subsystem::Fp {
+                if rdg.is_free(c) && side[c.index()] == Subsystem::Fp {
                     worklist.insert(c);
                 }
             }
@@ -221,14 +233,14 @@ pub fn partition_advanced_func(
         if !processed.insert(u) {
             continue;
         }
-        if side[u.index()] == Subsystem::Int || !graph.free(u) {
+        if side[u.index()] == Subsystem::Int || !rdg.is_free(u) {
             continue;
         }
         // P = FPa nodes in Backward_Slice(G, u).
         let p: Vec<NodeId> = rdg
             .backward_slice(u)
             .into_iter()
-            .filter(|&v| graph.free(v) && side[v.index()] == Subsystem::Fp)
+            .filter(|&v| rdg.is_free(v) && side[v.index()] == Subsystem::Fp)
             .collect();
         let mut in_p = vec![false; nn];
         for &v in &p {
@@ -237,12 +249,12 @@ pub fn partition_advanced_func(
         // loss to FPa if P is assigned to INT.
         let mut loss = 0.0;
         for &v in &p {
-            if graph.feeds_pinned_int(v) {
+            if rdg.feeds_pinned_int(v) {
                 loss -= copy_cost(v);
             } else {
                 loss += weight(v);
                 let has_fp_child_outside = rdg.succs(v).iter().any(|&c| {
-                    graph.free(c) && side[c.index()] == Subsystem::Fp && !in_p[c.index()]
+                    rdg.is_free(c) && side[c.index()] == Subsystem::Fp && !in_p[c.index()]
                 });
                 if has_fp_child_outside {
                     loss += copy_cost(v);
@@ -254,7 +266,7 @@ pub fn partition_advanced_func(
         let mut q: BTreeSet<NodeId> = BTreeSet::new();
         for &v in &p {
             for &par in rdg.preds(v) {
-                if !graph.native(par) && side[par.index()] == Subsystem::Int {
+                if !rdg.is_native(par) && side[par.index()] == Subsystem::Int {
                     q.insert(par);
                 }
             }
@@ -264,7 +276,7 @@ pub fn partition_advanced_func(
                 .succs(qn)
                 .iter()
                 .copied()
-                .filter(|&c| graph.free(c) && side[c.index()] == Subsystem::Fp)
+                .filter(|&c| rdg.is_free(c) && side[c.index()] == Subsystem::Fp)
                 .collect();
             if !fp_children.is_empty() && fp_children.iter().all(|c| in_p[c.index()]) {
                 loss -= comm_cost_est(qn, &side);
@@ -274,7 +286,7 @@ pub fn partition_advanced_func(
             move_to_int(&mut side, &p);
             for &v in &p {
                 for &c in rdg.succs(v) {
-                    if graph.free(c) && side[c.index()] == Subsystem::Fp {
+                    if rdg.is_free(c) && side[c.index()] == Subsystem::Fp {
                         worklist.insert(c);
                     }
                 }
@@ -282,7 +294,7 @@ pub fn partition_advanced_func(
         } else if loss.abs() <= EPS {
             for &v in &p {
                 for &c in rdg.succs(v) {
-                    if graph.free(c) && side[c.index()] == Subsystem::Fp && !processed.contains(&c)
+                    if rdg.is_free(c) && side[c.index()] == Subsystem::Fp && !processed.contains(&c)
                     {
                         worklist.insert(c);
                     }
@@ -296,12 +308,12 @@ pub fn partition_advanced_func(
     for _ in 0..32 {
         let mut changed = false;
         for v in rdg.node_ids() {
-            if graph.native(v) || side[v.index()] != Subsystem::Int || !graph.dup_allowed(v) {
+            if rdg.is_native(v) || side[v.index()] != Subsystem::Int || !dup_allowed(rdg, v) {
                 continue;
             }
             let mut cost = params.o_dupl * nfreq(v);
             for &p in rdg.preds(v) {
-                if graph.native(p) || side[p.index()] == Subsystem::Fp {
+                if rdg.is_native(p) || side[p.index()] == Subsystem::Fp {
                     continue;
                 }
                 cost += copy_cost(p).min(dupl_cost[p.index()]);
@@ -325,7 +337,7 @@ pub fn partition_advanced_func(
     let comm_cost = |v: NodeId| copy_cost(v).min(dupl_cost[v.index()]);
 
     // ---- Phase 2: per-component profit pruning ---------------------------
-    let (comp, ncomp) = rdg.components(|v| graph.free(v) && side[v.index()] == Subsystem::Fp);
+    let (comp, ncomp) = rdg.components(|v| rdg.is_free(v) && side[v.index()] == Subsystem::Fp);
     // Merge components fed by a common boundary definition: the shared
     // copy/duplicate result register connects them in the undirected graph
     // with tentative copies inserted.
@@ -338,7 +350,7 @@ pub fn partition_advanced_func(
         uf[x]
     }
     for v in rdg.node_ids() {
-        if graph.native(v) || side[v.index()] != Subsystem::Int {
+        if rdg.is_native(v) || side[v.index()] != Subsystem::Int {
             continue;
         }
         let mut first: Option<usize> = None;
@@ -368,14 +380,14 @@ pub fn partition_advanced_func(
         let root = find(&mut parent_uf, c);
         let e = profit.entry(root).or_insert(0.0);
         *e += weight(v);
-        if graph.feeds_pinned_int(v) {
+        if rdg.feeds_pinned_int(v) {
             *e -= copy_cost(v);
         }
         members.entry(root).or_default().push(v);
     }
     let mut counted: BTreeSet<NodeId> = BTreeSet::new();
     for v in rdg.node_ids() {
-        if graph.native(v) || side[v.index()] != Subsystem::Int {
+        if rdg.is_native(v) || side[v.index()] != Subsystem::Int {
             continue;
         }
         for &c in rdg.succs(v) {
@@ -404,7 +416,7 @@ pub fn partition_advanced_func(
         let total_weight: f64 = rdg.node_ids().map(weight).sum();
         let fp_weight = |side: &[Subsystem]| -> f64 {
             rdg.node_ids()
-                .filter(|&v| graph.free(v) && side[v.index()] == Subsystem::Fp)
+                .filter(|&v| rdg.is_free(v) && side[v.index()] == Subsystem::Fp)
                 .map(weight)
                 .sum()
         };
@@ -428,7 +440,23 @@ pub fn partition_advanced_func(
 
     // ---- Materialization --------------------------------------------------
     let choices: Vec<Choice> = rdg.node_ids().map(choice).collect();
-    materialize(func, graph, &side, &choices)
+    materialize(func, rdg, &side, &choices)
+}
+
+/// Whether `v`'s instruction may be cloned into the FP subsystem: pure,
+/// FPa-supported computation, or a load value (re-delivered via `l.w`
+/// into the FP file adjacent to the original, so no store can intervene).
+pub(crate) fn dup_allowed(rdg: &Rdg, v: NodeId) -> bool {
+    match rdg.kind(v) {
+        NodeKind::LoadValue(_) => true,
+        NodeKind::Plain(id) => match rdg.inst(id) {
+            Some(Inst::Bin { op, .. }) => op.fpa_supported() && op.operand_ty() == Ty::Int,
+            Some(Inst::BinImm { op, .. }) => op.fpa_supported(),
+            Some(Inst::Li { .. } | Inst::La { .. } | Inst::Move { .. }) => true,
+            _ => false,
+        },
+        _ => false,
+    }
 }
 
 /// Twin-register bookkeeping shared by materialization steps.
@@ -468,24 +496,18 @@ impl Twins {
 }
 
 /// Rewrites the function — inserting copies/duplicates and retargeting
-/// FPa-side uses — then derives the final assignment. `graph` is the
+/// FPa-side uses — then derives the final assignment. `rdg` is the
 /// function's graph from before this rewrite.
 pub(crate) fn materialize(
     func: &mut Function,
-    graph: &FuncGraph,
+    rdg: &Rdg,
     side: &[Subsystem],
     choices: &[Choice],
 ) -> FuncAssignment {
-    let FuncGraph {
-        rdg,
-        insts,
-        defs_of_vreg,
-        ..
-    } = graph;
     // Final home of each original vreg, and the side each instruction
     // ends on (the value side for loads and stores).
-    let mut home = graph.homes(func, side);
-    let mut inst_side = graph.inst_sides(func, side);
+    let mut home = homes(rdg, func, side);
+    let mut inst_side = inst_sides(rdg, side);
 
     // ---- Discover communication needs in program order --------------------
     let mut twins = Twins {
@@ -561,7 +583,7 @@ pub(crate) fn materialize(
     loop {
         if let Some(w) = twins.fp_queue.pop_front() {
             let wf = twins.fp[&w];
-            for &d in defs_of_vreg.get(&w).map_or(&[][..], |v| v) {
+            for &d in rdg.defs(w) {
                 match rdg.kind(d) {
                     NodeKind::Param(_) => {
                         let id = func.new_inst_id();
@@ -575,12 +597,13 @@ pub(crate) fn materialize(
                     kind => {
                         let anchor = kind.inst().expect("non-param def has an instruction");
                         let dup_ok = side[d.index()] == Subsystem::Int
-                            && graph.free(d)
+                            && rdg.is_free(d)
                             && choices[d.index()] == Choice::Dup
-                            && graph.dup_allowed(d);
+                            && dup_allowed(rdg, d);
                         if dup_ok {
-                            let dup =
-                                clone_for_fpa(func, &insts[&anchor], wf, &mut home, &mut twins);
+                            let original =
+                                rdg.inst(anchor).expect("a duplicate has an instruction");
+                            let dup = clone_for_fpa(func, original, wf, &mut home, &mut twins);
                             new_sides.push((dup.id(), Subsystem::Fp));
                             after.push((anchor, dup));
                         } else {
@@ -602,7 +625,7 @@ pub(crate) fn materialize(
         }
         if let Some(x) = twins.int_queue.pop_front() {
             let xi = twins.int[&x];
-            for &d in defs_of_vreg.get(&x).map_or(&[][..], |v| v) {
+            for &d in rdg.defs(x) {
                 if let Some(anchor) = rdg.kind(d).inst() {
                     let id = func.new_inst_id();
                     after.push((
@@ -843,8 +866,8 @@ mod tests {
 
     /// The advanced scheme on one function, with its graph built here.
     fn advanced(func: &mut Function, freq: &[f64], params: &CostParams) -> FuncAssignment {
-        let graph = FuncGraph::build(func);
-        partition_advanced_func(func, &graph, freq, params)
+        let rdg = Rdg::build(func);
+        partition_advanced_func(func, &rdg, freq, params)
     }
 
     /// Mechanism-pinning cost parameters (the aggressive end of the
@@ -982,10 +1005,24 @@ mod tests {
     }
 
     #[test]
+    fn cost_params_check_states_the_rule() {
+        assert_eq!(CostParams::default().check(), Ok(()));
+        let inverted = CostParams {
+            o_copy: 1.0,
+            o_dupl: 5.0,
+            balance_cap: None,
+        };
+        assert_eq!(
+            inverted.check(),
+            Err("cost model requires o_dupl < o_copy (got 5 >= 1)".to_string())
+        );
+    }
+
+    #[test]
     fn advanced_beats_basic_on_figure5() {
         use crate::basic::partition_basic_func;
         let m0 = figure5_module();
-        let basic = partition_basic_func(&m0.funcs[0], &FuncGraph::build(&m0.funcs[0]));
+        let basic = partition_basic_func(&m0.funcs[0], &Rdg::build(&m0.funcs[0]));
         let basic_fp = m0.funcs[0]
             .insts()
             .filter(|(_, i)| {

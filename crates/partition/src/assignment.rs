@@ -2,6 +2,7 @@
 
 use fpa_ir::{Function, InstId, Module, Ty, VReg};
 use fpa_isa::Subsystem;
+use fpa_rdg::{NodeKind, Rdg};
 use std::collections::HashMap;
 
 /// The per-function result of partitioning.
@@ -83,6 +84,40 @@ pub(crate) fn conventional_inst_side(func: &Function, inst: &fpa_ir::Inst) -> Su
         }
         _ => Subsystem::Int,
     }
+}
+
+/// The side of each instruction of the function `rdg` was built on,
+/// terminators included, under the per-node `side`: a load or store takes
+/// its value node's side.
+pub(crate) fn inst_sides(rdg: &Rdg, side: &[Subsystem]) -> HashMap<InstId, Subsystem> {
+    rdg.node_ids()
+        .filter_map(|v| match rdg.kind(v) {
+            NodeKind::Plain(id) | NodeKind::LoadValue(id) | NodeKind::StoreValue(id) => {
+                Some((id, side[v.index()]))
+            }
+            NodeKind::LoadAddr(_) | NodeKind::StoreAddr(_) | NodeKind::Param(_) => None,
+        })
+        .collect()
+}
+
+/// The home file of each register of `func` under the per-node `side`:
+/// FP for doubles and for integer registers whose every definition lands
+/// in FPa; INT for the rest, parameters and never-written registers
+/// included.
+pub(crate) fn homes(rdg: &Rdg, func: &Function, side: &[Subsystem]) -> Vec<Subsystem> {
+    (0..func.num_vregs())
+        .map(|i| {
+            let v = VReg::new(i as u32);
+            let defs = rdg.defs(v);
+            let fp = func.vreg_ty(v) == Ty::Double
+                || (!defs.is_empty() && defs.iter().all(|&d| side[d.index()] == Subsystem::Fp));
+            if fp {
+                Subsystem::Fp
+            } else {
+                Subsystem::Int
+            }
+        })
+        .collect()
 }
 
 /// A whole-module assignment, parallel to [`Module::funcs`].

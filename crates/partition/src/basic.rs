@@ -8,11 +8,10 @@
 //! values — go to FPa, communicating with the rest of the program only
 //! through existing loads and stores.
 
-use crate::assignment::{Assignment, FuncAssignment};
-use crate::graph::FuncGraph;
+use crate::assignment::{homes, inst_sides, Assignment, FuncAssignment};
 use fpa_ir::{Function, Module};
 use fpa_isa::Subsystem;
-use fpa_rdg::NodeClass;
+use fpa_rdg::{NodeClass, Rdg};
 
 /// Runs the basic scheme over a whole module.
 ///
@@ -20,35 +19,34 @@ use fpa_rdg::NodeClass;
 /// returned [`Assignment`] records the chosen sides.
 #[must_use]
 pub fn partition_basic(module: &Module) -> Assignment {
-    partition_basic_with(&FuncGraph::build_all(module), module)
+    partition_basic_with(&Rdg::build_all(module), module)
 }
 
 /// [`partition_basic`] over graphs already built for `module` (one per
-/// function, as [`FuncGraph::build_all`] returns them).
+/// function, as [`Rdg::build_all`] returns them).
 #[must_use]
-pub fn partition_basic_with(graphs: &[FuncGraph], module: &Module) -> Assignment {
+pub fn partition_basic_with(graphs: &[Rdg], module: &Module) -> Assignment {
     assert_eq!(graphs.len(), module.funcs.len(), "one graph per function");
     Assignment {
         funcs: module
             .funcs
             .iter()
             .zip(graphs)
-            .map(|(func, graph)| partition_basic_func(func, graph))
+            .map(|(func, rdg)| partition_basic_func(func, rdg))
             .collect(),
     }
 }
 
 /// Runs the basic scheme over one function, given its graph.
 #[must_use]
-pub fn partition_basic_func(func: &Function, graph: &FuncGraph) -> FuncAssignment {
-    let FuncGraph { rdg, classes, .. } = graph;
+pub fn partition_basic_func(func: &Function, rdg: &Rdg) -> FuncAssignment {
     // Connected components over everything that is not natively FP.
-    let (comp, ncomp) = rdg.components(|n| classes[n.index()] != NodeClass::NativeFp);
+    let (comp, ncomp) = rdg.components(|n| !rdg.is_native(n));
 
     // A component is INT as soon as it contains any pinned node.
     let mut comp_side = vec![Subsystem::Fp; ncomp];
     for n in rdg.node_ids() {
-        if let NodeClass::PinnedInt(_) = classes[n.index()] {
+        if rdg.is_pinned(n) {
             let c = comp[n.index()];
             if c != usize::MAX {
                 comp_side[c] = Subsystem::Int;
@@ -58,7 +56,7 @@ pub fn partition_basic_func(func: &Function, graph: &FuncGraph) -> FuncAssignmen
 
     let side: Vec<Subsystem> = rdg
         .node_ids()
-        .map(|n| match classes[n.index()] {
+        .map(|n| match rdg.class(n) {
             NodeClass::NativeFp => Subsystem::Fp,
             NodeClass::PinnedInt(_) => Subsystem::Int,
             NodeClass::Free => comp_side[comp[n.index()]],
@@ -66,8 +64,8 @@ pub fn partition_basic_func(func: &Function, graph: &FuncGraph) -> FuncAssignmen
         .collect();
 
     FuncAssignment {
-        inst_side: graph.inst_sides(func, &side),
-        vreg_side: graph.homes(func, &side),
+        inst_side: inst_sides(rdg, &side),
+        vreg_side: homes(rdg, func, &side),
     }
 }
 
@@ -119,7 +117,7 @@ mod tests {
     #[test]
     fn offloads_disjoint_store_value_chain() {
         let (f, offload_ids) = figure4_like();
-        let a = partition_basic_func(&f, &FuncGraph::build(&f));
+        let a = partition_basic_func(&f, &Rdg::build(&f));
         for id in &offload_ids {
             assert_eq!(a.side(*id), Subsystem::Fp, "{id} should be offloaded");
         }
@@ -128,7 +126,7 @@ mod tests {
     #[test]
     fn keeps_address_chain_and_branch_in_int() {
         let (f, _) = figure4_like();
-        let a = partition_basic_func(&f, &FuncGraph::build(&f));
+        let a = partition_basic_func(&f, &Rdg::build(&f));
         // The induction variable's web (li, add, move) feeds addressing ->
         // INT; the loop branch slice shares the induction variable -> INT.
         for (_, inst) in f.insts() {
@@ -152,9 +150,8 @@ mod tests {
         // §5.1: no FPa node may have an INT node in its backward or
         // forward slice.
         let (f, _) = figure4_like();
-        let graph = FuncGraph::build(&f);
-        let a = partition_basic_func(&f, &graph);
-        let FuncGraph { rdg, classes, .. } = &graph;
+        let rdg = Rdg::build(&f);
+        let a = partition_basic_func(&f, &rdg);
         let node_side = |n: fpa_rdg::NodeId| match rdg.kind(n) {
             NodeKind::LoadValue(id) | NodeKind::StoreValue(id) | NodeKind::Plain(id) => {
                 a.inst_side.get(&id).copied()
@@ -162,7 +159,7 @@ mod tests {
             _ => Some(Subsystem::Int),
         };
         for n in rdg.node_ids() {
-            if classes[n.index()] != NodeClass::Free || node_side(n) != Some(Subsystem::Fp) {
+            if !rdg.is_free(n) || node_side(n) != Some(Subsystem::Fp) {
                 continue;
             }
             for m in rdg
@@ -170,7 +167,7 @@ mod tests {
                 .into_iter()
                 .chain(rdg.forward_slice(n))
             {
-                if classes[m.index()] == NodeClass::NativeFp {
+                if rdg.is_native(m) {
                     continue;
                 }
                 assert_eq!(
@@ -195,7 +192,7 @@ mod tests {
         let a2 = b.bin(BinOp::Xor, seed, a1);
         b.ret(Some(a2));
         let f = b.finish();
-        let a = partition_basic_func(&f, &FuncGraph::build(&f));
+        let a = partition_basic_func(&f, &Rdg::build(&f));
         // ... but here the whole chain feeds the RETURN VALUE, which is
         // pinned; with no copies available, the basic scheme keeps it INT.
         for (_, inst) in f.insts() {
@@ -230,7 +227,7 @@ mod tests {
         b.switch_to(exit);
         b.ret(None);
         let f = b.finish();
-        let a = partition_basic_func(&f, &FuncGraph::build(&f));
+        let a = partition_basic_func(&f, &Rdg::build(&f));
         for b_ in f.block_ids() {
             if let Terminator::Br { id, .. } = f.block(b_).term {
                 assert_eq!(a.side(id), Subsystem::Fp, "branch should offload");

@@ -40,8 +40,7 @@ pub struct Exhaustive {
 /// remain after pinning (the search space would exceed `2^max_groups`).
 #[must_use]
 pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhaustive> {
-    let graph = model.graph;
-    let rdg = &graph.rdg;
+    let rdg = model.rdg;
     let nn = rdg.len();
     let group = |v: NodeId| model.group_rep[v.index()];
 
@@ -51,19 +50,19 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
     // forbids an FPa producer feeding an INT consumer).
     let mut fixed: HashMap<NodeId, bool> = HashMap::new();
     for v in rdg.node_ids() {
-        if graph.free(v) {
+        if rdg.is_free(v) {
             let e = fixed.entry(group(v)).or_insert(false);
-            *e |= graph.addr_pinned(v);
+            *e |= rdg.addr_pinned(v);
         }
     }
     loop {
         let mut changed = false;
         for p in rdg.node_ids() {
-            if !graph.free(p) || fixed[&group(p)] {
+            if !rdg.is_free(p) || fixed[&group(p)] {
                 continue;
             }
             for &c in rdg.succs(p) {
-                if graph.free(c) && fixed[&group(c)] {
+                if rdg.is_free(c) && fixed[&group(c)] {
                     fixed.insert(group(p), true);
                     changed = true;
                     break;
@@ -78,7 +77,7 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
     // ---- Index the variable groups --------------------------------------
     let mut index: HashMap<NodeId, usize> = HashMap::new();
     for v in rdg.node_ids() {
-        if graph.free(v) && !fixed[&group(v)] {
+        if rdg.is_free(v) && !fixed[&group(v)] {
             let next = index.len();
             index.entry(group(v)).or_insert(next);
         }
@@ -90,7 +89,7 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
         return None;
     }
     let bit_of = |v: NodeId| -> Option<u32> {
-        if graph.free(v) && !fixed[&group(v)] {
+        if rdg.is_free(v) && !fixed[&group(v)] {
             Some(index[&group(v)] as u32)
         } else {
             None
@@ -107,12 +106,12 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
         match bit_of(v) {
             Some(g) => {
                 w[g as usize] += model.weight[v.index()];
-                if graph.feeds_pinned_int(v) {
+                if rdg.feeds_pinned_int(v) {
                     cc[g as usize] += model.copy[v.index()];
                 }
             }
-            None if graph.free(v) => base += model.weight[v.index()],
-            None if graph.native(v) && graph.feeds_pinned_int(v) => base += model.copy[v.index()],
+            None if rdg.is_free(v) => base += model.weight[v.index()],
+            None if rdg.is_native(v) && rdg.feeds_pinned_int(v) => base += model.copy[v.index()],
             None => {}
         }
     }
@@ -129,7 +128,7 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
     }
     let mut producers: Vec<Producer> = Vec::new();
     for v in rdg.node_ids() {
-        if graph.free(v) {
+        if rdg.is_free(v) {
             if let Some(gp) = bit_of(v) {
                 for &c in rdg.succs(v) {
                     if let Some(gc) = bit_of(c) {
@@ -138,7 +137,7 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
                 }
             }
         }
-        if graph.native(v) || model.comm[v.index()] == 0 {
+        if rdg.is_native(v) || model.comm[v.index()] == 0 {
             continue;
         }
         let mut succ_mask = 0u32;
@@ -192,7 +191,7 @@ pub fn exhaustive_minimum(model: &CostModel, max_groups: u32) -> Option<Exhausti
     let side: Vec<Subsystem> = (0..nn)
         .map(|i| {
             let v = NodeId::new(i as u32);
-            if graph.native(v) {
+            if rdg.is_native(v) {
                 Subsystem::Fp
             } else {
                 match bit_of(v) {
@@ -227,8 +226,8 @@ mod tests {
     use super::*;
     use crate::advanced::CostParams;
     use crate::basic::partition_basic_func;
-    use crate::graph::FuncGraph;
     use fpa_ir::{BinOp, FunctionBuilder, MemWidth, Ty};
+    use fpa_rdg::Rdg;
 
     fn params() -> CostParams {
         CostParams {
@@ -279,10 +278,10 @@ mod tests {
     #[test]
     fn min_cut_matches_exhaustive_on_small_func() {
         let f = small_func();
-        let graph = FuncGraph::build(&f);
+        let rdg = Rdg::build(&f);
         for lw in [0.5, 2.0, 25.0, 400.0] {
             let freq = loop_freq(&f, lw);
-            let model = CostModel::build(&graph, &freq, &params());
+            let model = CostModel::build(&rdg, &freq, &params());
             let cut = model.min_cut();
             let truth = exhaustive_minimum(&model, 16).expect("small function enumerates");
             assert_eq!(
@@ -297,20 +296,20 @@ mod tests {
     #[test]
     fn exhaustive_dominates_basic_here() {
         let f = small_func();
-        let graph = FuncGraph::build(&f);
+        let rdg = Rdg::build(&f);
         let freq = loop_freq(&f, 100.0);
-        let model = CostModel::build(&graph, &freq, &params());
+        let model = CostModel::build(&rdg, &freq, &params());
         let truth = exhaustive_minimum(&model, 16).unwrap();
-        let basic_cost = assignment_cost(&model, &partition_basic_func(&f, &graph));
+        let basic_cost = assignment_cost(&model, &partition_basic_func(&f, &rdg));
         assert!(truth.cost <= basic_cost);
     }
 
     #[test]
     fn refuses_oversized_search_spaces() {
         let f = small_func();
-        let graph = FuncGraph::build(&f);
+        let rdg = Rdg::build(&f);
         let freq = loop_freq(&f, 10.0);
-        let model = CostModel::build(&graph, &freq, &params());
+        let model = CostModel::build(&rdg, &freq, &params());
         let truth = exhaustive_minimum(&model, 16).unwrap();
         assert!(truth.free_groups > 0, "the test function has free groups");
         assert!(exhaustive_minimum(&model, truth.free_groups as u32 - 1).is_none());
@@ -319,9 +318,9 @@ mod tests {
     #[test]
     fn all_int_mask_is_always_feasible() {
         let f = small_func();
-        let graph = FuncGraph::build(&f);
+        let rdg = Rdg::build(&f);
         let freq = loop_freq(&f, 0.25);
-        let model = CostModel::build(&graph, &freq, &params());
+        let model = CostModel::build(&rdg, &freq, &params());
         let truth = exhaustive_minimum(&model, 16).unwrap();
         assert!(model.feasible(&truth.side));
         assert_eq!(truth.cost, model.objective(&truth.side));

@@ -20,11 +20,14 @@
 //! [`exhaustive::exhaustive_minimum`] brute-forces small RDGs as an
 //! independent oracle for the min-cut solver.
 //!
-//! All three schemes and the oracle read one [`FuncGraph`] per function:
-//! the RDG, its node classes and the pinning facts derived from them,
-//! built once by [`FuncGraph::build`]. The `*_with` entry points take a
-//! module's graphs from the caller, so a suite builds them once for all
-//! schemes; the plain entry points build them and delegate.
+//! All three schemes and the oracle read one [`fpa_rdg::Rdg`] per
+//! function: the RDG with its node classes, instructions, register
+//! definitions and pinning facts, built once by [`fpa_rdg::Rdg::build`].
+//! The `*_with` entry points take a module's graphs from the caller, so a
+//! suite builds them once for all schemes; the plain entry points build
+//! them and delegate. Besides the schemes, this crate holds the partition
+//! policy over that graph: which nodes may be duplicated, and the
+//! instruction sides and register homes a side vector implies.
 //!
 //! All schemes produce an [`Assignment`] consumed by `fpa-codegen`: a
 //! subsystem per instruction plus a home register file per virtual
@@ -38,7 +41,6 @@ pub mod assignment;
 pub mod basic;
 pub mod exhaustive;
 pub mod freq;
-pub mod graph;
 pub mod optimal;
 pub mod stats;
 
@@ -47,6 +49,5 @@ pub use assignment::{Assignment, FuncAssignment};
 pub use basic::{partition_basic, partition_basic_with};
 pub use exhaustive::exhaustive_minimum;
 pub use freq::BlockFreq;
-pub use graph::FuncGraph;
 pub use optimal::{partition_optimal, partition_optimal_with, CostModel};
 pub use stats::PartitionStats;

@@ -49,13 +49,12 @@
 //! from `s`), and materialization — copy insertion, duplication, use
 //! rewriting — reuses the advanced scheme's machinery unchanged.
 
-use crate::advanced::{materialize, per_function, Choice, CostParams};
+use crate::advanced::{dup_allowed, materialize, per_function, Choice, CostParams};
 use crate::assignment::{Assignment, FuncAssignment};
 use crate::freq::BlockFreq;
-use crate::graph::FuncGraph;
 use fpa_ir::{Function, Module};
 use fpa_isa::Subsystem;
-use fpa_rdg::{NodeId, NodeKind};
+use fpa_rdg::{NodeId, NodeKind, Rdg};
 
 /// Fixed-point scale for the integer cost domain: all frequencies and
 /// overheads are multiplied by `SCALE` and rounded once. 2^10 keeps the
@@ -73,10 +72,10 @@ fn scaled(x: f64) -> i64 {
 
 /// The exact cost model of one function: everything the min-cut network,
 /// the independent objective accounting, and the brute-force enumeration
-/// share, over the function's [`FuncGraph`].
+/// share, over the function's [`Rdg`].
 pub struct CostModel<'g> {
     /// The function's graph (built on the unpartitioned function).
-    pub graph: &'g FuncGraph,
+    pub rdg: &'g Rdg,
     /// Offloadable weight per node, scaled (Plain nodes only; the halves
     /// of a load or store execute on the INT load/store unit regardless).
     pub(crate) weight: Vec<i64>,
@@ -93,18 +92,17 @@ pub struct CostModel<'g> {
 }
 
 impl<'g> CostModel<'g> {
-    /// Builds the model for the function `graph` was built on, under
+    /// Builds the model for the function `rdg` was built on, under
     /// profiled block frequencies and the given cost parameters.
     #[must_use]
-    pub fn build(graph: &'g FuncGraph, freq: &[f64], params: &CostParams) -> CostModel<'g> {
-        let rdg = &graph.rdg;
+    pub fn build(rdg: &'g Rdg, freq: &[f64], params: &CostParams) -> CostModel<'g> {
         let nn = rdg.len();
         let nfreq = |v: NodeId| freq[rdg.block_of(v).index()];
 
         let weight: Vec<i64> = rdg
             .node_ids()
             .map(|v| match rdg.kind(v) {
-                NodeKind::Plain(_) if graph.free(v) => scaled(nfreq(v)),
+                NodeKind::Plain(_) if rdg.is_free(v) => scaled(nfreq(v)),
                 _ => 0,
             })
             .collect();
@@ -120,12 +118,12 @@ impl<'g> CostModel<'g> {
         for _ in 0..64 {
             let mut changed = false;
             for v in rdg.node_ids() {
-                if graph.native(v) || !graph.dup_allowed(v) {
+                if rdg.is_native(v) || !dup_allowed(rdg, v) {
                     continue;
                 }
                 let mut cost = scaled(params.o_dupl * nfreq(v));
                 for &p in rdg.preds(v) {
-                    if !graph.native(p) {
+                    if !rdg.is_native(p) {
                         cost += copy[p.index()].min(dupl[p.index()]);
                     }
                 }
@@ -155,16 +153,16 @@ impl<'g> CostModel<'g> {
         let group_rep: Vec<NodeId> = rdg
             .node_ids()
             .map(|v| {
-                let first = graph.siblings(v).iter().find(|&&d| graph.free(d));
+                let first = rdg.siblings(v).iter().find(|&&d| rdg.is_free(d));
                 match first {
-                    Some(&first) if graph.free(v) => first,
+                    Some(&first) if rdg.is_free(v) => first,
                     _ => v,
                 }
             })
             .collect();
 
         CostModel {
-            graph,
+            rdg,
             weight,
             copy,
             comm,
@@ -182,19 +180,18 @@ impl<'g> CostModel<'g> {
     /// model for the optimality-gap report.
     #[must_use]
     pub fn objective(&self, side: &[Subsystem]) -> i64 {
-        let g = self.graph;
+        let g = self.rdg;
         let mut cost = 0i64;
-        for v in g.rdg.node_ids() {
+        for v in g.node_ids() {
             match side[v.index()] {
                 Subsystem::Int => {
-                    if g.free(v) {
+                    if g.is_free(v) {
                         cost += self.weight[v.index()];
                     }
-                    if !g.native(v)
-                        && g.rdg
-                            .succs(v)
+                    if !g.is_native(v)
+                        && g.succs(v)
                             .iter()
-                            .any(|&c| g.free(c) && side[c.index()] == Subsystem::Fp)
+                            .any(|&c| g.is_free(c) && side[c.index()] == Subsystem::Fp)
                     {
                         cost += self.comm[v.index()];
                     }
@@ -215,24 +212,23 @@ impl<'g> CostModel<'g> {
     /// one side.
     #[must_use]
     pub fn feasible(&self, side: &[Subsystem]) -> bool {
-        let g = self.graph;
-        for v in g.rdg.node_ids() {
+        let g = self.rdg;
+        for v in g.node_ids() {
             let s = side[v.index()];
-            if (g.pinned(v) || g.addr_pinned(v)) && s != Subsystem::Int {
+            if (g.is_pinned(v) || g.addr_pinned(v)) && s != Subsystem::Int {
                 return false;
             }
-            if g.native(v) && s != Subsystem::Fp {
+            if g.is_native(v) && s != Subsystem::Fp {
                 return false;
             }
-            if g.free(v) {
+            if g.is_free(v) {
                 if side[self.group_rep[v.index()].index()] != s {
                     return false;
                 }
                 if s == Subsystem::Fp
-                    && g.rdg
-                        .succs(v)
+                    && g.succs(v)
                         .iter()
-                        .any(|&c| g.free(c) && side[c.index()] == Subsystem::Int)
+                        .any(|&c| g.is_free(c) && side[c.index()] == Subsystem::Int)
                 {
                     return false;
                 }
@@ -246,16 +242,15 @@ impl<'g> CostModel<'g> {
     /// ids of original instructions are stable through materialization).
     #[must_use]
     pub fn sides_of_assignment(&self, fa: &FuncAssignment) -> Vec<Subsystem> {
-        let g = self.graph;
-        g.rdg
-            .node_ids()
+        let g = self.rdg;
+        g.node_ids()
             .map(|v| {
-                if g.pinned(v) {
+                if g.is_pinned(v) {
                     Subsystem::Int
-                } else if g.native(v) {
+                } else if g.is_native(v) {
                     Subsystem::Fp
                 } else {
-                    let id = g.rdg.kind(v).inst().expect("free nodes have insts");
+                    let id = g.kind(v).inst().expect("free nodes have insts");
                     fa.side(id)
                 }
             })
@@ -267,17 +262,17 @@ impl<'g> CostModel<'g> {
     /// source-reachable residual cut.
     #[must_use]
     pub fn min_cut(&self) -> MinCut {
-        let g = self.graph;
-        let nn = g.rdg.len();
+        let g = self.rdg;
+        let nn = g.len();
         // Flow-node layout: RDG nodes, then one aux per communicating
         // producer, then s, t.
         let mut aux_of: Vec<Option<usize>> = vec![None; nn];
         let mut next = nn;
-        for v in g.rdg.node_ids() {
-            if g.native(v) || self.comm[v.index()] == 0 {
+        for v in g.node_ids() {
+            if g.is_native(v) || self.comm[v.index()] == 0 {
                 continue;
             }
-            if g.rdg.succs(v).iter().any(|&c| g.free(c)) {
+            if g.succs(v).iter().any(|&c| g.is_free(c)) {
                 aux_of[v.index()] = Some(next);
                 next += 1;
             }
@@ -285,31 +280,31 @@ impl<'g> CostModel<'g> {
         let (s, t) = (next, next + 1);
         let mut net = Dinic::new(next + 2);
 
-        for v in g.rdg.node_ids() {
+        for v in g.node_ids() {
             let i = v.index();
-            if g.pinned(v) || g.addr_pinned(v) {
+            if g.is_pinned(v) || g.addr_pinned(v) {
                 net.add_edge(s, i, INF);
             }
-            if g.native(v) {
+            if g.is_native(v) {
                 net.add_edge(i, t, INF);
             }
-            if g.free(v) && self.weight[i] > 0 {
+            if g.is_free(v) && self.weight[i] > 0 {
                 net.add_edge(i, t, self.weight[i]);
             }
-            if g.feeds_pinned_int(v) && !g.pinned(v) && self.copy[i] > 0 {
+            if g.feeds_pinned_int(v) && !g.is_pinned(v) && self.copy[i] > 0 {
                 net.add_edge(s, i, self.copy[i]);
             }
             if let Some(a) = aux_of[i] {
                 net.add_edge(i, a, self.comm[i]);
-                for &c in g.rdg.succs(v) {
-                    if g.free(c) {
+                for &c in g.succs(v) {
+                    if g.is_free(c) {
                         net.add_edge(a, c.index(), INF);
                     }
                 }
             }
-            if g.free(v) {
-                for &c in g.rdg.succs(v) {
-                    if g.free(c) {
+            if g.is_free(v) {
+                for &c in g.succs(v) {
+                    if g.is_free(c) {
                         net.add_edge(c.index(), i, INF);
                     }
                 }
@@ -354,15 +349,14 @@ pub struct MinCut {
 /// duplicate instructions in place (like [`crate::partition_advanced`]).
 #[must_use]
 pub fn partition_optimal(module: &mut Module, freq: &BlockFreq, params: &CostParams) -> Assignment {
-    partition_optimal_with(&FuncGraph::build_all(module), module, freq, params)
+    partition_optimal_with(&Rdg::build_all(module), module, freq, params)
 }
 
 /// [`partition_optimal`] over graphs already built for the unpartitioned
-/// `module` (one per function, as [`FuncGraph::build_all`] returns
-/// them).
+/// `module` (one per function, as [`Rdg::build_all`] returns them).
 #[must_use]
 pub fn partition_optimal_with(
-    graphs: &[FuncGraph],
+    graphs: &[Rdg],
     module: &mut Module,
     freq: &BlockFreq,
     params: &CostParams,
@@ -375,12 +369,12 @@ pub fn partition_optimal_with(
 #[must_use]
 pub fn partition_optimal_func(
     func: &mut Function,
-    graph: &FuncGraph,
+    rdg: &Rdg,
     freq: &[f64],
     params: &CostParams,
 ) -> FuncAssignment {
-    let model = CostModel::build(graph, freq, params);
-    materialize(func, graph, &model.min_cut().side, &model.choices)
+    let model = CostModel::build(rdg, freq, params);
+    materialize(func, rdg, &model.min_cut().side, &model.choices)
 }
 
 /// Dinic's max-flow on an adjacency-list residual graph. Self-contained:
@@ -495,7 +489,6 @@ mod tests {
     use crate::advanced::partition_advanced_func;
     use crate::basic::partition_basic_func;
     use fpa_ir::{BinOp, FunctionBuilder, Interp, MemWidth, Terminator, Ty};
-    use fpa_rdg::NodeClass;
 
     fn test_params() -> CostParams {
         CostParams {
@@ -567,8 +560,8 @@ mod tests {
         let mut m = figure5_module();
         let (golden, _) = Interp::new(&m).run().unwrap();
         let freq = loop_freq(&m.funcs[0], 100.0);
-        let graph = FuncGraph::build(&m.funcs[0]);
-        let a = partition_optimal_func(&mut m.funcs[0], &graph, &freq, &test_params());
+        let rdg = Rdg::build(&m.funcs[0]);
+        let a = partition_optimal_func(&mut m.funcs[0], &rdg, &freq, &test_params());
         fpa_ir::verify::verify_module(&m).unwrap();
         let (out, _) = Interp::new(&m).run().unwrap();
         assert_eq!(out.output, golden.output);
@@ -589,8 +582,8 @@ mod tests {
     fn flow_value_equals_recomputed_objective() {
         let m = figure5_module();
         let freq = loop_freq(&m.funcs[0], 100.0);
-        let graph = FuncGraph::build(&m.funcs[0]);
-        let model = CostModel::build(&graph, &freq, &test_params());
+        let rdg = Rdg::build(&m.funcs[0]);
+        let model = CostModel::build(&rdg, &freq, &test_params());
         let cut = model.min_cut();
         assert!(model.feasible(&cut.side));
         assert_eq!(cut.cost, model.objective(&cut.side));
@@ -600,15 +593,15 @@ mod tests {
     fn optimal_dominates_basic_and_advanced_on_figure5() {
         let m0 = figure5_module();
         let freq = loop_freq(&m0.funcs[0], 100.0);
-        let graph = FuncGraph::build(&m0.funcs[0]);
-        let model = CostModel::build(&graph, &freq, &test_params());
+        let rdg = Rdg::build(&m0.funcs[0]);
+        let model = CostModel::build(&rdg, &freq, &test_params());
         let cut = model.min_cut();
 
-        let basic = partition_basic_func(&m0.funcs[0], &graph);
+        let basic = partition_basic_func(&m0.funcs[0], &rdg);
         let basic_cost = model.objective(&model.sides_of_assignment(&basic));
 
         let mut m1 = figure5_module();
-        let adv = partition_advanced_func(&mut m1.funcs[0], &graph, &freq, &test_params());
+        let adv = partition_advanced_func(&mut m1.funcs[0], &rdg, &freq, &test_params());
         let adv_side = model.sides_of_assignment(&adv);
         assert!(
             model.feasible(&adv_side),
@@ -633,8 +626,8 @@ mod tests {
         let mut m = figure5_module();
         let before: usize = m.funcs[0].blocks.iter().map(|b| b.insts.len()).sum();
         let freq = vec![0.001; m.funcs[0].blocks.len()];
-        let graph = FuncGraph::build(&m.funcs[0]);
-        let a = partition_optimal_func(&mut m.funcs[0], &graph, &freq, &test_params());
+        let rdg = Rdg::build(&m.funcs[0]);
+        let a = partition_optimal_func(&mut m.funcs[0], &rdg, &freq, &test_params());
         let after: usize = m.funcs[0].blocks.iter().map(|b| b.insts.len()).sum();
         assert_eq!(before, after, "no copies for cold code");
         let f = &m.funcs[0];
@@ -651,13 +644,12 @@ mod tests {
         // communication at all.
         let m = figure5_module();
         let freq = loop_freq(&m.funcs[0], 10.0);
-        let graph = FuncGraph::build(&m.funcs[0]);
-        let model = CostModel::build(&graph, &freq, &test_params());
-        let all_int: Vec<Subsystem> = graph
-            .rdg
+        let rdg = Rdg::build(&m.funcs[0]);
+        let model = CostModel::build(&rdg, &freq, &test_params());
+        let all_int: Vec<Subsystem> = rdg
             .node_ids()
             .map(|v| {
-                if graph.classes[v.index()] == NodeClass::NativeFp {
+                if rdg.is_native(v) {
                     Subsystem::Fp
                 } else {
                     Subsystem::Int

@@ -1,8 +1,11 @@
-//! RDG construction.
+//! RDG construction: one walk of a function yields its graph, its node
+//! classes and the facts every partitioning scheme reads.
 
-use fpa_ir::dataflow::DefPoint;
-use fpa_ir::{BlockId, Cfg, DefUse, Function, Inst, InstId, ReachingDefs, VReg};
-use std::collections::HashMap;
+use fpa_ir::dataflow::{BitSet, DefPoint};
+use fpa_ir::{
+    BinOp, BlockId, Cfg, Function, Inst, InstId, MemWidth, Module, ReachingDefs, Terminator, Ty,
+    VReg,
+};
 
 /// A node id in the RDG.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -60,100 +63,269 @@ impl NodeKind {
     }
 }
 
-/// The register dependence graph of one function.
+/// Why a node is pinned to the INT partition.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PinReason {
+    /// Load/store address generation — only INT can address memory (§4).
+    Address,
+    /// Calls execute on INT and integer arguments/returns use integer
+    /// registers (calling convention, §4/§6.4).
+    Call,
+    /// Return values use integer registers.
+    Return,
+    /// Integer multiply/divide has no FP-subsystem support.
+    MulDiv,
+    /// Host output pseudo-ops execute on INT.
+    Io,
+    /// Formal-parameter dummy node (calling convention).
+    Param,
+    /// Byte-width memory values: the ISA has no byte-width FP-file load or
+    /// store, so the value must pass through an integer register.
+    ByteValue,
+}
+
+/// The partitioning class of an RDG node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeClass {
+    /// Must execute in the INT subsystem.
+    PinnedInt(PinReason),
+    /// Natively floating-point (double arithmetic, conversions, double
+    /// memory values): always in the FP subsystem, on conventional and
+    /// augmented machines alike. Not counted as "offloaded" work.
+    NativeFp,
+    /// Free integer computation the partitioner may assign to either side.
+    Free,
+}
+
+/// The class of a plain (unsplit, non-terminator) instruction's node.
+fn inst_class(func: &Function, inst: &Inst) -> NodeClass {
+    match inst {
+        Inst::Bin { op, .. } => match op {
+            BinOp::Mul | BinOp::Div | BinOp::Rem | BinOp::Nor => {
+                NodeClass::PinnedInt(PinReason::MulDiv)
+            }
+            op if op.operand_ty() == Ty::Double => NodeClass::NativeFp,
+            _ => NodeClass::Free,
+        },
+        Inst::BinImm { .. } | Inst::Li { .. } | Inst::La { .. } => NodeClass::Free,
+        Inst::LiD { .. } | Inst::Cvt { .. } => NodeClass::NativeFp,
+        Inst::Move { dst, .. } | Inst::Copy { dst, .. } => {
+            if func.vreg_ty(*dst) == Ty::Double {
+                NodeClass::NativeFp
+            } else {
+                NodeClass::Free
+            }
+        }
+        Inst::Call { .. } => NodeClass::PinnedInt(PinReason::Call),
+        Inst::Print { .. } | Inst::PrintChar { .. } | Inst::PrintDouble { .. } => {
+            NodeClass::PinnedInt(PinReason::Io)
+        }
+        Inst::Load { .. } | Inst::Store { .. } => {
+            unreachable!("loads/stores are split nodes")
+        }
+    }
+}
+
+/// The class of a load's or store's value node.
+fn value_class(width: MemWidth) -> NodeClass {
+    match width {
+        MemWidth::Dword => NodeClass::NativeFp,
+        MemWidth::Byte | MemWidth::ByteU => NodeClass::PinnedInt(PinReason::ByteValue),
+        MemWidth::Word => NodeClass::Free,
+    }
+}
+
+/// The `inst_node` entry of an id that is not in the function.
+const NO_NODE: u32 = u32::MAX;
+
+/// The register dependence graph of one function, with its node classes
+/// (paper §4) and the facts every partitioning scheme derives from them.
+///
+/// Built on the unpartitioned function. The ids of its instructions are
+/// stable through the advanced scheme's rewrite, so one graph serves
+/// every scheme run on a clone of that function.
 #[derive(Debug, Clone)]
 pub struct Rdg {
-    nodes: Vec<NodeKind>,
-    index: HashMap<NodeKind, NodeId>,
-    succs: Vec<Vec<NodeId>>,
-    preds: Vec<Vec<NodeId>>,
+    kinds: Vec<NodeKind>,
     /// Basic block containing each node (params map to the entry block).
     block_of: Vec<BlockId>,
+    classes: Vec<NodeClass>,
+    succs: Vec<Vec<NodeId>>,
+    preds: Vec<Vec<NodeId>>,
+    /// The register each node defines: parameters, load values and
+    /// value-producing plain instructions.
+    dst: Vec<Option<VReg>>,
+    /// Every node defining each register, in node order, by register.
+    defs: Vec<Vec<NodeId>>,
+    /// The function's instructions by id, terminators excluded: the one
+    /// copy the graph keeps.
+    insts: Vec<Option<Inst>>,
+    /// The first node of each instruction and terminator, by id.
+    inst_node: Vec<u32>,
+    /// The LdSt slice: the union of the address nodes' backward slices.
+    ldst: Vec<bool>,
+    /// Nodes feeding a pinned-INT consumer that needs the value in an
+    /// integer register: actual arguments, return values, printed values,
+    /// multiply/divide operands (§6.4's copy sites).
+    feeds_pinned: Vec<bool>,
 }
 
 impl Rdg {
-    /// Builds the RDG of `func` from its reaching definitions, exactly as
-    /// in paper §3.
+    /// Builds the graph of `func` in one walk, in program order. Each
+    /// instruction gets its nodes (a load or store split in two, §3),
+    /// their classes (§4) and its entry in the instruction table when it
+    /// is reached, and an edge from every definition that reaches each of
+    /// its operands; a definition reached around a loop has no node yet,
+    /// so the edges are added after the walk, in the same order.
     #[must_use]
     pub fn build(func: &Function) -> Rdg {
-        let cfg = Cfg::new(func);
-        let rd = ReachingDefs::new(func, &cfg);
-        let du = DefUse::new(func, &rd);
-        Rdg::build_with(func, &du)
-    }
-
-    /// Builds the RDG from a precomputed def-use solution.
-    #[must_use]
-    pub fn build_with(func: &Function, du: &DefUse) -> Rdg {
+        let rd = ReachingDefs::new(func, &Cfg::new(func));
         let mut g = Rdg {
-            nodes: Vec::new(),
-            index: HashMap::new(),
+            kinds: Vec::new(),
+            block_of: Vec::new(),
+            classes: Vec::new(),
             succs: Vec::new(),
             preds: Vec::new(),
-            block_of: Vec::new(),
+            dst: Vec::new(),
+            defs: vec![Vec::new(); func.num_vregs()],
+            insts: vec![None; func.inst_id_bound()],
+            inst_node: vec![NO_NODE; func.inst_id_bound()],
+            ldst: Vec::new(),
+            feeds_pinned: Vec::new(),
         };
-        // Parameter dummy nodes.
-        for i in 0..func.params.len() {
-            g.add_node(NodeKind::Param(i), BlockId::ENTRY);
+        for (i, &p) in func.params.iter().enumerate() {
+            let class = NodeClass::PinnedInt(PinReason::Param);
+            g.add_node(NodeKind::Param(i), BlockId::ENTRY, class, Some(p));
         }
-        // Instruction nodes (loads/stores split).
-        let mut is_load: HashMap<InstId, bool> = HashMap::new();
+        // (definition index, use node) for every definition reaching an
+        // operand, in program order.
+        let mut uses: Vec<(usize, NodeId)> = Vec::new();
+        let mut use_at = |v: VReg, node: NodeId, reaching: &BitSet| {
+            for &d in rd.defs_of(v) {
+                if reaching.contains(d) {
+                    uses.push((d, node));
+                }
+            }
+        };
+        let mut addrs = Vec::new();
         for b in func.block_ids() {
-            for inst in &func.block(b).insts {
-                match inst {
-                    Inst::Load { .. } => {
-                        g.add_node(NodeKind::LoadAddr(inst.id()), b);
-                        g.add_node(NodeKind::LoadValue(inst.id()), b);
-                        is_load.insert(inst.id(), true);
+            let block = func.block(b);
+            let mut reaching = rd.live_in_set(b).clone();
+            for inst in &block.insts {
+                let id = inst.id();
+                g.inst_node[id.index()] = g.kinds.len() as u32;
+                match *inst {
+                    Inst::Load {
+                        width, base, dst, ..
+                    } => {
+                        let addr = NodeClass::PinnedInt(PinReason::Address);
+                        let a = g.add_node(NodeKind::LoadAddr(id), b, addr, None);
+                        g.add_node(NodeKind::LoadValue(id), b, value_class(width), Some(dst));
+                        use_at(base, a, &reaching);
+                        addrs.push(a);
                     }
-                    Inst::Store { .. } => {
-                        g.add_node(NodeKind::StoreAddr(inst.id()), b);
-                        g.add_node(NodeKind::StoreValue(inst.id()), b);
-                        is_load.insert(inst.id(), false);
+                    Inst::Store {
+                        width, base, value, ..
+                    } => {
+                        let addr = NodeClass::PinnedInt(PinReason::Address);
+                        let a = g.add_node(NodeKind::StoreAddr(id), b, addr, None);
+                        let v = g.add_node(NodeKind::StoreValue(id), b, value_class(width), None);
+                        use_at(base, a, &reaching);
+                        use_at(value, v, &reaching);
+                        addrs.push(a);
                     }
                     _ => {
-                        g.add_node(NodeKind::Plain(inst.id()), b);
-                    }
-                }
-            }
-            if let Some(tid) = func.block(b).term.id() {
-                g.add_node(NodeKind::Plain(tid), b);
-            }
-        }
-        // Edges from reaching definitions. The *use side* of a load is its
-        // address node; of a store, address or value depending on operand.
-        let mut inst_lookup: HashMap<InstId, Inst> = HashMap::new();
-        for (_, inst) in func.insts() {
-            inst_lookup.insert(inst.id(), inst.clone());
-        }
-        for ((user, vreg), defs) in &du.reaching {
-            let use_nodes = g.use_nodes_for(*user, *vreg, &inst_lookup);
-            for dp in defs {
-                let def_node = match dp {
-                    DefPoint::Param(i) => g.index[&NodeKind::Param(*i)],
-                    DefPoint::Inst(di) => {
-                        if is_load.get(di).copied() == Some(true) {
-                            g.index[&NodeKind::LoadValue(*di)]
-                        } else {
-                            g.index[&NodeKind::Plain(*di)]
+                        let class = inst_class(func, inst);
+                        let n = g.add_node(NodeKind::Plain(id), b, class, inst.dst());
+                        for u in inst.uses() {
+                            use_at(u, n, &reaching);
                         }
                     }
+                }
+                if let Some(d) = inst.dst() {
+                    // This definition of `d` kills every other one.
+                    for &di in rd.defs_of(d) {
+                        if rd.def(di).0 == DefPoint::Inst(id) {
+                            reaching.insert(di);
+                        } else {
+                            reaching.remove(di);
+                        }
+                    }
+                }
+                g.insts[id.index()] = Some(inst.clone());
+            }
+            if let Some(id) = block.term.id() {
+                // Conditional branches are free: the branch outcome can be
+                // computed in either subsystem (the fetch unit is shared).
+                let class = match block.term {
+                    Terminator::Ret { .. } => NodeClass::PinnedInt(PinReason::Return),
+                    _ => NodeClass::Free,
                 };
-                for &un in &use_nodes {
-                    g.add_edge(def_node, un);
+                g.inst_node[id.index()] = g.kinds.len() as u32;
+                let n = g.add_node(NodeKind::Plain(id), b, class, None);
+                for u in block.term.uses() {
+                    use_at(u, n, &reaching);
                 }
             }
         }
+        for (d, user) in uses {
+            let def = match rd.def(d).0 {
+                DefPoint::Param(i) => NodeId(i as u32),
+                DefPoint::Inst(id) => {
+                    // A load defines its register through its value node,
+                    // the second of its pair.
+                    let first = g.inst_node[id.index()];
+                    let is_load = matches!(g.kinds[first as usize], NodeKind::LoadAddr(_));
+                    NodeId(first + u32::from(is_load))
+                }
+            };
+            g.add_edge(def, user);
+        }
+
+        g.ldst = vec![false; g.len()];
+        for v in g.backward_slice_of(addrs) {
+            g.ldst[v.index()] = true;
+        }
+        g.feeds_pinned = g
+            .node_ids()
+            .map(|v| {
+                g.succs(v).iter().any(|&c| {
+                    matches!(
+                        g.class(c),
+                        NodeClass::PinnedInt(
+                            PinReason::Call | PinReason::Return | PinReason::Io | PinReason::MulDiv
+                        )
+                    )
+                })
+            })
+            .collect();
         g
     }
 
-    fn add_node(&mut self, kind: NodeKind, block: BlockId) -> NodeId {
-        let id = NodeId(self.nodes.len() as u32);
-        self.nodes.push(kind);
+    /// The graphs of every function of `module`, indexed like
+    /// `module.funcs`.
+    #[must_use]
+    pub fn build_all(module: &Module) -> Vec<Rdg> {
+        module.funcs.iter().map(Rdg::build).collect()
+    }
+
+    fn add_node(
+        &mut self,
+        kind: NodeKind,
+        block: BlockId,
+        class: NodeClass,
+        dst: Option<VReg>,
+    ) -> NodeId {
+        let id = NodeId(self.kinds.len() as u32);
+        self.kinds.push(kind);
+        self.block_of.push(block);
+        self.classes.push(class);
         self.succs.push(Vec::new());
         self.preds.push(Vec::new());
-        self.block_of.push(block);
-        self.index.insert(kind, id);
+        self.dst.push(dst);
+        if let Some(w) = dst {
+            self.defs[w.index()].push(id);
+        }
         id
     }
 
@@ -164,60 +336,123 @@ impl Rdg {
         }
     }
 
-    /// The use-side nodes for operand `vreg` of instruction `user`.
-    fn use_nodes_for(
-        &self,
-        user: InstId,
-        vreg: VReg,
-        insts: &HashMap<InstId, Inst>,
-    ) -> Vec<NodeId> {
-        match insts.get(&user) {
-            Some(Inst::Load { base, .. }) => {
-                debug_assert_eq!(*base, vreg);
-                vec![self.index[&NodeKind::LoadAddr(user)]]
-            }
-            Some(Inst::Store { base, value, .. }) => {
-                let mut v = Vec::new();
-                if *base == vreg {
-                    v.push(self.index[&NodeKind::StoreAddr(user)]);
-                }
-                if *value == vreg {
-                    v.push(self.index[&NodeKind::StoreValue(user)]);
-                }
-                v
-            }
-            // Plain instructions and terminators (not in `insts`).
-            _ => vec![self.index[&NodeKind::Plain(user)]],
-        }
-    }
-
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.kinds.len()
     }
 
     /// Whether the graph is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.kinds.is_empty()
     }
 
     /// All node ids.
     pub fn node_ids(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (0..self.nodes.len() as u32).map(NodeId)
+        (0..self.kinds.len() as u32).map(NodeId)
     }
 
     /// The kind of node `n`.
     #[must_use]
     pub fn kind(&self, n: NodeId) -> NodeKind {
-        self.nodes[n.index()]
+        self.kinds[n.index()]
     }
 
     /// Looks up the node for a kind.
     #[must_use]
     pub fn node(&self, kind: NodeKind) -> Option<NodeId> {
-        self.index.get(&kind).copied()
+        let n = match kind {
+            NodeKind::Param(i) => i,
+            NodeKind::LoadValue(id) | NodeKind::StoreValue(id) => self.first_node(id)? + 1,
+            NodeKind::Plain(id) | NodeKind::LoadAddr(id) | NodeKind::StoreAddr(id) => {
+                self.first_node(id)?
+            }
+        };
+        (self.kinds.get(n) == Some(&kind)).then_some(NodeId(n as u32))
+    }
+
+    fn first_node(&self, id: InstId) -> Option<usize> {
+        let n = *self.inst_node.get(id.index())?;
+        (n != NO_NODE).then_some(n as usize)
+    }
+
+    /// The class of node `n` (paper §4).
+    #[must_use]
+    pub fn class(&self, n: NodeId) -> NodeClass {
+        self.classes[n.index()]
+    }
+
+    /// Whether `n` is free for the partitioner to place on either side.
+    #[must_use]
+    pub fn is_free(&self, n: NodeId) -> bool {
+        self.classes[n.index()] == NodeClass::Free
+    }
+
+    /// Whether `n` is pinned to INT.
+    #[must_use]
+    pub fn is_pinned(&self, n: NodeId) -> bool {
+        matches!(self.classes[n.index()], NodeClass::PinnedInt(_))
+    }
+
+    /// Whether `n` is natively floating-point.
+    #[must_use]
+    pub fn is_native(&self, n: NodeId) -> bool {
+        self.classes[n.index()] == NodeClass::NativeFp
+    }
+
+    /// Whether `n` is a conditional-branch terminator.
+    #[must_use]
+    pub fn is_branch(&self, n: NodeId) -> bool {
+        // Terminators are the plain nodes with no instruction-table entry.
+        matches!(self.kind(n), NodeKind::Plain(id) if self.insts[id.index()].is_none())
+            && !self.is_return(n)
+    }
+
+    /// Whether `n` is a return terminator.
+    #[must_use]
+    pub fn is_return(&self, n: NodeId) -> bool {
+        self.classes[n.index()] == NodeClass::PinnedInt(PinReason::Return)
+    }
+
+    /// Whether `n` is in the LdSt slice: the union of the backward slices
+    /// of every load and store address node.
+    #[must_use]
+    pub fn in_ldst(&self, n: NodeId) -> bool {
+        self.ldst[n.index()]
+    }
+
+    /// Whether `n` is a free node in the LdSt slice, which every scheme
+    /// keeps in INT (§4's "LdSt slice in INT").
+    #[must_use]
+    pub fn addr_pinned(&self, n: NodeId) -> bool {
+        self.ldst[n.index()] && self.is_free(n)
+    }
+
+    /// Whether `n` feeds a pinned-INT consumer (§6.4 copy site).
+    #[must_use]
+    pub fn feeds_pinned_int(&self, n: NodeId) -> bool {
+        self.feeds_pinned[n.index()]
+    }
+
+    /// Every node defining register `v`, in node order.
+    #[must_use]
+    pub fn defs(&self, v: VReg) -> &[NodeId] {
+        &self.defs[v.index()]
+    }
+
+    /// Every node defining the register `n` defines, `n` included; empty
+    /// when `n` defines none.
+    #[must_use]
+    pub fn siblings(&self, n: NodeId) -> &[NodeId] {
+        self.dst[n.index()].map_or(&[], |w| self.defs(w))
+    }
+
+    /// Instruction `id` as it was when the graph was built; `None` for
+    /// terminators and ids not in the function.
+    #[must_use]
+    pub fn inst(&self, id: InstId) -> Option<&Inst> {
+        self.insts.get(id.index())?.as_ref()
     }
 
     /// Direct consumers of `n`'s value.
@@ -478,5 +713,174 @@ mod tests {
         let mv = g.node(NodeKind::Plain(mov_id)).unwrap();
         assert!(g.preds(add).contains(&li));
         assert!(g.preds(add).contains(&mv));
+    }
+
+    #[test]
+    fn classification_covers_the_constraints() {
+        let mut b = FunctionBuilder::new("f", Some(Ty::Int));
+        let p = b.param(Ty::Int);
+        let e = b.block();
+        b.switch_to(e);
+        let load_id = b.peek_inst_id();
+        let v = b.load(p, 0, MemWidth::Word);
+        let mul_id = b.peek_inst_id();
+        let sq = b.bin(BinOp::Mul, v, v);
+        let add_id = b.peek_inst_id();
+        let w = b.bin(BinOp::Add, sq, v);
+        b.print(w);
+        let dload_id = b.peek_inst_id();
+        let d = b.load(p, 8, MemWidth::Dword);
+        let fadd_id = b.peek_inst_id();
+        let d2 = b.bin(BinOp::FAdd, d, d);
+        b.print_double(d2);
+        b.ret(Some(w));
+        let f = b.finish();
+        let g = Rdg::build(&f);
+        let cls = |k: NodeKind| g.class(g.node(k).unwrap());
+
+        assert_eq!(
+            cls(NodeKind::Param(0)),
+            NodeClass::PinnedInt(PinReason::Param)
+        );
+        assert_eq!(
+            cls(NodeKind::LoadAddr(load_id)),
+            NodeClass::PinnedInt(PinReason::Address)
+        );
+        assert_eq!(cls(NodeKind::LoadValue(load_id)), NodeClass::Free);
+        assert_eq!(
+            cls(NodeKind::Plain(mul_id)),
+            NodeClass::PinnedInt(PinReason::MulDiv)
+        );
+        assert_eq!(cls(NodeKind::Plain(add_id)), NodeClass::Free);
+        assert_eq!(cls(NodeKind::LoadValue(dload_id)), NodeClass::NativeFp);
+        assert_eq!(cls(NodeKind::Plain(fadd_id)), NodeClass::NativeFp);
+    }
+
+    #[test]
+    fn branches_are_free_returns_pinned() {
+        let mut b = FunctionBuilder::new("f", Some(Ty::Int));
+        let p = b.param(Ty::Int);
+        let e = b.block();
+        let t = b.block();
+        let z = b.block();
+        b.switch_to(e);
+        let br_id = b.peek_inst_id();
+        b.br(p, t, z);
+        b.switch_to(t);
+        let one = b.li(1);
+        b.ret(Some(one));
+        b.switch_to(z);
+        let zero = b.li(0);
+        b.ret(Some(zero));
+        let f = b.finish();
+        let g = Rdg::build(&f);
+        let br = g.node(NodeKind::Plain(br_id)).unwrap();
+        assert_eq!(g.class(br), NodeClass::Free);
+        assert!(g.is_branch(br) && !g.is_return(br));
+        // Both rets are pinned.
+        let pinned_returns = g
+            .node_ids()
+            .filter(|&n| g.class(n) == NodeClass::PinnedInt(PinReason::Return))
+            .count();
+        assert_eq!(pinned_returns, 2);
+        assert_eq!(g.node_ids().filter(|&n| g.is_return(n)).count(), 2);
+        assert_eq!(g.node_ids().filter(|&n| g.is_branch(n)).count(), 1);
+    }
+
+    #[test]
+    fn calls_and_io_pinned() {
+        use fpa_ir::FuncId;
+        let mut b = FunctionBuilder::new("f", None);
+        let p = b.param(Ty::Int);
+        let e = b.block();
+        b.switch_to(e);
+        let call_id = b.peek_inst_id();
+        let _ = b.call(FuncId::new(0), vec![p], Some(Ty::Int));
+        b.print(p);
+        b.ret(None);
+        let f = b.finish();
+        let g = Rdg::build(&f);
+        assert_eq!(
+            g.class(g.node(NodeKind::Plain(call_id)).unwrap()),
+            NodeClass::PinnedInt(PinReason::Call)
+        );
+    }
+
+    /// A loop whose induction variable `i` (returned) feeds addressing,
+    /// a loaded value that is printed, and a call argument.
+    fn sample() -> (Function, VReg) {
+        let mut b = FunctionBuilder::new("f", None);
+        let base = b.param(Ty::Int);
+        let entry = b.block();
+        let header = b.block();
+        let body = b.block();
+        let exit = b.block();
+        b.switch_to(entry);
+        let i = b.li(0);
+        b.jump(header);
+        b.switch_to(header);
+        let c = b.bin_imm(BinOp::Slt, i, 8);
+        b.br(c, body, exit);
+        b.switch_to(body);
+        let off = b.bin_imm(BinOp::Sll, i, 2);
+        let addr = b.bin(BinOp::Add, base, off);
+        let v = b.load(addr, 0, MemWidth::Word);
+        let w = b.bin_imm(BinOp::Xor, v, 5);
+        b.print(w);
+        let i2 = b.bin_imm(BinOp::Add, i, 1);
+        b.mov_to(i, i2);
+        b.jump(header);
+        b.switch_to(exit);
+        b.call(fpa_ir::FuncId::new(0), vec![i], None);
+        b.ret(None);
+        (b.finish(), i)
+    }
+
+    #[test]
+    fn facts_match_their_definitions() {
+        let (f, i) = sample();
+        let g = Rdg::build(&f);
+
+        // The LdSt slice is the union of every address node's own
+        // backward slice; the address mask is its free part.
+        let mut in_ldst = vec![false; g.len()];
+        for v in g.node_ids() {
+            if matches!(g.kind(v), NodeKind::LoadAddr(_) | NodeKind::StoreAddr(_)) {
+                for s in g.backward_slice(v) {
+                    in_ldst[s.index()] = true;
+                }
+            }
+        }
+        for v in g.node_ids() {
+            assert_eq!(g.in_ldst(v), in_ldst[v.index()], "{v}");
+            assert_eq!(g.addr_pinned(v), in_ldst[v.index()] && g.is_free(v), "{v}");
+            let copy_site = g.succs(v).iter().any(|&c| {
+                matches!(
+                    g.class(c),
+                    NodeClass::PinnedInt(
+                        PinReason::Call | PinReason::Return | PinReason::Io | PinReason::MulDiv
+                    )
+                )
+            });
+            assert_eq!(g.feeds_pinned_int(v), copy_site, "{v}");
+            // The instruction table holds each node's own instruction.
+            if let Some(id) = g.kind(v).inst() {
+                let held = f
+                    .insts()
+                    .find(|(_, inst)| inst.id() == id)
+                    .map(|(_, inst)| inst);
+                assert_eq!(g.inst(id), held, "{v}");
+            }
+        }
+        assert!(g.node_ids().any(|v| g.addr_pinned(v)));
+        assert!(g.node_ids().any(|v| g.feeds_pinned_int(v)));
+
+        // `i` has two definitions, the `li` and the loop-carried move;
+        // each names both as its siblings.
+        let defs_of_i = g.defs(i);
+        assert_eq!(defs_of_i.len(), 2);
+        for &d in defs_of_i {
+            assert_eq!(g.siblings(d), defs_of_i);
+        }
     }
 }

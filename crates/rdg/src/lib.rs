@@ -1,7 +1,9 @@
 //! # fpa-rdg
 //!
-//! The **register dependence graph** (RDG) of paper §3, plus the slice
-//! machinery of §3–§4.
+//! The **register dependence graph** (RDG) of paper §3, the node classes
+//! of §4 and the slice machinery of §3–§4: the one graph of a function
+//! that every partitioning scheme, the exact solver and the fuzzer's
+//! coverage read.
 //!
 //! The RDG is a directed graph with a node per static instruction; there is
 //! an edge from node *i* to node *j* when instruction *i* produces a value
@@ -20,15 +22,17 @@
 //!   pre-assigned to INT by the partitioner, modelling the calling
 //!   convention (§6.4).
 //!
-//! On top of the graph this crate computes [`Rdg::backward_slice`] /
-//! [`Rdg::forward_slice`], the [`Slices`] decomposition (LdSt slice, branch
-//! slices, store-value slices), node classification ([`NodeClass`]), and
-//! undirected [`Rdg::components`].
+//! [`Rdg::build`] walks the function once, in program order, and records
+//! with the graph each node's class ([`NodeClass`]), one copy of the
+//! function's instructions, the defining nodes of each register, the
+//! LdSt slice and the nodes that feed a pinned-INT consumer. On top of
+//! the graph this crate computes [`Rdg::backward_slice`] /
+//! [`Rdg::forward_slice`], the [`Slices`] decomposition (LdSt slice,
+//! branch slices, store-value slices) and undirected
+//! [`Rdg::components`].
 
-pub mod classify;
 pub mod graph;
 pub mod slices;
 
-pub use classify::{classify, NodeClass, PinReason};
-pub use graph::{NodeId, NodeKind, Rdg};
+pub use graph::{NodeClass, NodeId, NodeKind, PinReason, Rdg};
 pub use slices::{SliceKind, Slices};

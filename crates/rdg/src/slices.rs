@@ -14,7 +14,6 @@
 //!   convention).
 
 use crate::graph::{NodeId, NodeKind, Rdg};
-use std::collections::BTreeSet;
 
 /// The terminal categories of forward slices.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,8 +31,8 @@ pub enum SliceKind {
 /// The slice decomposition of a function's RDG.
 #[derive(Debug, Clone)]
 pub struct Slices {
-    /// Union of backward slices of all address nodes.
-    pub ldst: BTreeSet<NodeId>,
+    /// Union of backward slices of all address nodes, ascending.
+    pub ldst: Vec<NodeId>,
     /// One backward slice per branch node.
     pub branches: Vec<(NodeId, Vec<NodeId>)>,
     /// One backward slice per store-value node.
@@ -43,38 +42,24 @@ pub struct Slices {
 }
 
 impl Slices {
-    /// Computes all slices of `rdg`. `is_branch` must say whether a plain
-    /// node is a conditional branch and `is_return` whether it is a return
-    /// (the RDG itself does not know terminator kinds).
+    /// Computes all slices of `rdg`: the LdSt slice its build recorded,
+    /// and one backward slice per branch, store-value and return node.
     #[must_use]
-    pub fn compute(
-        rdg: &Rdg,
-        is_branch: impl Fn(NodeId) -> bool,
-        is_return: impl Fn(NodeId) -> bool,
-    ) -> Slices {
-        let mut ldst = BTreeSet::new();
+    pub fn compute(rdg: &Rdg) -> Slices {
         let mut branches = Vec::new();
         let mut store_values = Vec::new();
         let mut returns = Vec::new();
         for n in rdg.node_ids() {
-            match rdg.kind(n) {
-                NodeKind::LoadAddr(_) | NodeKind::StoreAddr(_) => {
-                    ldst.extend(rdg.backward_slice(n));
-                }
-                NodeKind::StoreValue(_) => {
-                    store_values.push((n, rdg.backward_slice(n)));
-                }
-                NodeKind::Plain(_) if is_branch(n) => {
-                    branches.push((n, rdg.backward_slice(n)));
-                }
-                NodeKind::Plain(_) if is_return(n) => {
-                    returns.push((n, rdg.backward_slice(n)));
-                }
-                _ => {}
-            }
+            let slices = match rdg.kind(n) {
+                NodeKind::StoreValue(_) => &mut store_values,
+                _ if rdg.is_branch(n) => &mut branches,
+                _ if rdg.is_return(n) => &mut returns,
+                _ => continue,
+            };
+            slices.push((n, rdg.backward_slice(n)));
         }
         Slices {
-            ldst,
+            ldst: rdg.node_ids().filter(|&n| rdg.in_ldst(n)).collect(),
             branches,
             store_values,
             returns,
@@ -95,7 +80,7 @@ impl Slices {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fpa_ir::{BinOp, FunctionBuilder, MemWidth, Terminator, Ty};
+    use fpa_ir::{BinOp, FunctionBuilder, MemWidth, Ty};
 
     /// The Figure 3 shape in miniature:
     /// loop over regno; load tick[regno]; conditionally bump and store;
@@ -127,22 +112,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let g = crate::Rdg::build(&f);
-
-        // Identify terminator nodes.
-        let mut branch_ids = Vec::new();
-        let mut ret_ids = Vec::new();
-        for blk in f.block_ids() {
-            match &f.block(blk).term {
-                Terminator::Br { id, .. } => branch_ids.push(*id),
-                Terminator::Ret { id, .. } => ret_ids.push(*id),
-                Terminator::Jump { .. } => {}
-            }
-        }
-        let slices = Slices::compute(
-            &g,
-            |n| g.kind(n).inst().is_some_and(|i| branch_ids.contains(&i)),
-            |n| g.kind(n).inst().is_some_and(|i| ret_ids.contains(&i)),
-        );
+        let slices = Slices::compute(&g);
 
         // The LdSt slice contains the induction variable chain (regno
         // feeds address computation) — this is why the basic scheme cannot
@@ -196,15 +166,7 @@ mod tests {
         b.ret(None);
         let f = b.finish();
         let g = crate::Rdg::build(&f);
-        let slices = Slices::compute(
-            &g,
-            |_| false,
-            |n| {
-                matches!(g.kind(n), NodeKind::Plain(_))
-                    && g.succs(n).is_empty()
-                    && g.preds(n).is_empty()
-            },
-        );
+        let slices = Slices::compute(&g);
         let (_, sv) = &slices.store_values[0];
         // The store-value slice touches x (param), xor, add — but x also
         // feeds nothing address-related except via the base param, so the

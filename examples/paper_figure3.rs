@@ -10,10 +10,8 @@
 //! cargo run --example paper_figure3
 //! ```
 
-use fpa::ir::Terminator;
 use fpa::isa::Subsystem;
-use fpa::partition::FuncGraph;
-use fpa::rdg::{NodeClass, Slices};
+use fpa::rdg::{Rdg, Slices};
 use fpa::{Compiler, Scheme};
 
 const SRC: &str = "
@@ -55,29 +53,10 @@ fn main() {
     println!("{}", fpa::ir::display::func_to_string(func, Some(&m)));
 
     // --- The RDG and its slices (Figure 3) ------------------------------
-    // One graph per function: the RDG and its node classes, which every
+    // One graph per function: the RDG with its node classes, which every
     // partitioning scheme reads.
-    let graph = FuncGraph::build(func);
-    let (rdg, classes) = (graph.rdg(), graph.classes());
-    let branch_ids: Vec<_> = func
-        .block_ids()
-        .filter_map(|b| match func.block(b).term {
-            Terminator::Br { id, .. } => Some(id),
-            _ => None,
-        })
-        .collect();
-    let ret_ids: Vec<_> = func
-        .block_ids()
-        .filter_map(|b| match func.block(b).term {
-            Terminator::Ret { id, .. } => Some(id),
-            _ => None,
-        })
-        .collect();
-    let slices = Slices::compute(
-        rdg,
-        |n| rdg.kind(n).inst().is_some_and(|i| branch_ids.contains(&i)),
-        |n| rdg.kind(n).inst().is_some_and(|i| ret_ids.contains(&i)),
-    );
+    let rdg = Rdg::build(func);
+    let slices = Slices::compute(&rdg);
     println!("=== register dependence graph ===");
     println!("nodes: {}", rdg.len());
     println!(
@@ -87,22 +66,16 @@ fn main() {
     );
     println!("branch slices: {}", slices.branches.len());
     println!("store-value slices: {}", slices.store_values.len());
-    let pinned = rdg
-        .node_ids()
-        .filter(|n| matches!(classes[n.index()], NodeClass::PinnedInt(_)))
-        .count();
-    let free = rdg
-        .node_ids()
-        .filter(|n| classes[n.index()] == NodeClass::Free)
-        .count();
+    let pinned = rdg.node_ids().filter(|&n| rdg.is_pinned(n)).count();
+    let free = rdg.node_ids().filter(|&n| rdg.is_free(n)).count();
     println!("pinned-INT nodes: {pinned}, free nodes: {free}");
     for n in rdg.node_ids().take(12) {
-        println!("  {n}: {:?} -> {:?}", rdg.kind(n), classes[n.index()]);
+        println!("  {n}: {:?} -> {:?}", rdg.kind(n), rdg.class(n));
     }
     println!();
 
     // --- Basic partition (Figure 4) --------------------------------------
-    let basic = fpa::partition::basic::partition_basic_func(func, &graph);
+    let basic = fpa::partition::basic::partition_basic_func(func, &rdg);
     let basic_fp = func
         .insts()
         .filter(|(_, i)| basic.side(i.id()) == Subsystem::Fp)

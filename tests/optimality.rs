@@ -15,8 +15,8 @@ use fpa_ir::{FuncId, Interp, Module};
 use fpa_partition::exhaustive::assignment_cost;
 use fpa_partition::{
     partition_advanced, partition_basic, partition_optimal, BlockFreq, CostModel, CostParams,
-    FuncGraph,
 };
+use fpa_rdg::Rdg;
 
 /// The cost-parameter corners the fuzz oracle sweeps (kept in sync with
 /// `fpa_fuzz::oracle::COST_SWEEP`; restated here so the facade test does
@@ -64,8 +64,8 @@ fn objectives(name: &str, module: &Module, freq: &BlockFreq, params: &CostParams
         optimal: 0,
     };
     for (i, func) in module.funcs.iter().enumerate() {
-        let graph = FuncGraph::build(func);
-        let model = CostModel::build(&graph, freq.of_func(FuncId::new(i as u32)), params);
+        let rdg = Rdg::build(func);
+        let model = CostModel::build(&rdg, freq.of_func(FuncId::new(i as u32)), params);
         let cut = model.min_cut();
 
         // Exactness: the max-flow value is not just a bound — it must

@@ -1,8 +1,9 @@
 //! The paper's structural invariants, checked over the whole workload
 //! suite (see DESIGN.md §6).
 
+use fpa::ir::Terminator;
 use fpa::isa::{Op, Subsystem};
-use fpa::rdg::{classify, NodeClass, NodeKind, Rdg};
+use fpa::rdg::{NodeClass, NodeId, NodeKind, Rdg, Slices};
 use fpa::sim::run_functional;
 use fpa::{Compiler, Scheme};
 
@@ -31,7 +32,6 @@ fn basic_scheme_partitioning_conditions() {
         for (fi, func) in m.funcs.iter().enumerate() {
             let fa = &assignment.funcs[fi];
             let rdg = Rdg::build(func);
-            let classes = classify(func, &rdg);
             let side_of = |n| {
                 let inst = rdg.kind(n).inst();
                 match rdg.kind(n) {
@@ -41,7 +41,7 @@ fn basic_scheme_partitioning_conditions() {
                 }
             };
             for n in rdg.node_ids() {
-                if classes[n.index()] != NodeClass::Free || side_of(n) != Subsystem::Fp {
+                if !rdg.is_free(n) || side_of(n) != Subsystem::Fp {
                     continue;
                 }
                 for m_ in rdg
@@ -49,7 +49,7 @@ fn basic_scheme_partitioning_conditions() {
                     .into_iter()
                     .chain(rdg.forward_slice(n))
                 {
-                    if classes[m_.index()] == NodeClass::NativeFp {
+                    if rdg.is_native(m_) {
                         continue;
                     }
                     assert_eq!(
@@ -172,24 +172,88 @@ fn advanced_copy_overhead_is_bounded() {
     }
 }
 
-/// The classifier's pinning reasons are exhaustive over workload IR: every
-/// node classifies without panicking and address nodes are always pinned.
+/// Every workload and every `fuzz/corpus` pin (the distilled coverage
+/// pins included), by name and source.
+fn real_programs() -> Vec<(String, String)> {
+    let mut out: Vec<(String, String)> = fpa::workloads::all()
+        .into_iter()
+        .map(|w| (w.name, w.source))
+        .collect();
+    let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../fuzz/corpus");
+    for dir in [corpus.clone(), corpus.join("coverage")] {
+        let mut pins: Vec<_> = std::fs::read_dir(&dir)
+            .unwrap_or_else(|e| panic!("list {}: {e}", dir.display()))
+            .map(|e| e.expect("corpus entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "zc"))
+            .collect();
+        pins.sort();
+        for pin in pins {
+            let src = std::fs::read_to_string(&pin).expect("read pin");
+            out.push((pin.display().to_string(), src));
+        }
+    }
+    out
+}
+
+/// The one-pass graph on real programs: every node classifies, address
+/// nodes are pinned, the recorded LdSt slice is the union of each address
+/// node's own backward slice, consumers are listed in program order, and
+/// the branch and return slices are seeded exactly at the function's `br`
+/// and `ret` terminators.
 #[test]
 fn classification_total_and_addresses_pinned() {
-    for w in fpa::workloads::all() {
-        let m = optimized_module(&w.source);
+    let programs = real_programs();
+    assert!(programs.len() > 150, "{} programs", programs.len());
+    for (name, src) in &programs {
+        let m = optimized_module(src);
         for func in &m.funcs {
             let rdg = Rdg::build(func);
-            let classes = classify(func, &rdg);
+            let mut in_ldst = vec![false; rdg.len()];
             for n in rdg.node_ids() {
                 if matches!(rdg.kind(n), NodeKind::LoadAddr(_) | NodeKind::StoreAddr(_)) {
                     assert!(
-                        matches!(classes[n.index()], NodeClass::PinnedInt(_)),
-                        "{}: address node not pinned",
-                        w.name
+                        matches!(rdg.class(n), NodeClass::PinnedInt(_)),
+                        "{name}: address node not pinned"
                     );
+                    for s in rdg.backward_slice(n) {
+                        in_ldst[s.index()] = true;
+                    }
                 }
             }
+            let mask: Vec<bool> = rdg.node_ids().map(|n| rdg.in_ldst(n)).collect();
+            assert_eq!(mask, in_ldst, "{name}:{}: LdSt slice", func.name);
+            // Edges are added in program order, so every node lists its
+            // consumers by ascending node id, the same in every process.
+            for n in rdg.node_ids() {
+                assert!(
+                    rdg.succs(n).windows(2).all(|w| w[0] < w[1]),
+                    "{name}:{}: consumers of {n} out of program order",
+                    func.name
+                );
+            }
+
+            let (mut brs, mut rets) = (Vec::new(), Vec::new());
+            for b in func.block_ids() {
+                match func.block(b).term {
+                    Terminator::Br { id, .. } => brs.push(rdg.node(NodeKind::Plain(id)).unwrap()),
+                    Terminator::Ret { id, .. } => rets.push(rdg.node(NodeKind::Plain(id)).unwrap()),
+                    Terminator::Jump { .. } => {}
+                }
+            }
+            let slices = Slices::compute(&rdg);
+            let seeds = |s: &[(NodeId, Vec<NodeId>)]| s.iter().map(|(n, _)| *n).collect::<Vec<_>>();
+            assert_eq!(
+                seeds(&slices.branches),
+                brs,
+                "{name}:{}: branch slices",
+                func.name
+            );
+            assert_eq!(
+                seeds(&slices.returns),
+                rets,
+                "{name}:{}: return slices",
+                func.name
+            );
         }
     }
 }
